@@ -38,7 +38,7 @@ func BenchmarkTable2_CDFvsRecVec(b *testing.B) {
 		}
 		b.ReportMetric(res.Cell("CDF vector", "linear", 16), "cdf-linear-ns/edge")
 		b.ReportMetric(res.Cell("CDF vector", "binary", 16), "cdf-binary-ns/edge")
-		b.ReportMetric(res.Cell("RecVec", "binary", 16), "recvec-binary-ns/edge")
+		b.ReportMetric(res.Cell("RecVec", "scan", 16), "recvec-scan-ns/edge")
 		b.ReportMetric(res.Cell("RecVec", "linear", 16), "recvec-linear-ns/edge")
 	}
 }

@@ -12,6 +12,7 @@ package avs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/memacct"
 	"repro/internal/recvec"
@@ -69,17 +70,28 @@ func (c Config) NumVertices() int64 { return int64(1) << uint(c.Levels) }
 
 // Generator generates scopes for one graph configuration. Scope and
 // ScopeWithSize are not safe for concurrent use (they share a scratch
-// dedup buffer) — give each worker its own instance, as core.Generate
-// does. ScopeSize and the probability accessors are read-only and safe
-// to call concurrently (the partitioner's parallel combine relies on
-// this).
+// vector and dedup table) — give each worker its own instance, as
+// core.Generate does. ScopeSize and the probability accessors are
+// read-only and safe to call concurrently (the partitioner's parallel
+// combine relies on this).
 type Generator struct {
 	cfg Config
-	// acct, when non-nil, is charged for the per-scope dedup structure
-	// and the recursive vector, making O(d_max) visible to experiments.
+	// acct, when non-nil, is charged once per scope for the scope's
+	// recursive vector plus one VertexBytes per distinct destination —
+	// the high-water mark per-edge charging would reach — and released
+	// when the scope ends, making O(d_max) visible to experiments.
 	acct *memacct.Acct
-	// scratch is the reusable in-scope duplicate filter.
-	scratch dedupSet
+	// rowProbs[i] is the noise-free P_{u→} of a source with i one bits.
+	rowProbs []float64
+	// production selects the Algorithm 4 fast path: float64 arithmetic
+	// with all three performance ideas and no ablation.
+	production bool
+	// vec is the scope's recursive vector, rebuilt in place; big is the
+	// HighPrecision one, built per scope.
+	vec recvec.Vector
+	big *recvec.BigVector
+	// dedup is the reusable in-scope duplicate filter.
+	dedup dedupTable
 }
 
 // New returns a scope generator. acct may be nil.
@@ -87,7 +99,16 @@ func New(cfg Config, acct *memacct.Acct) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Generator{cfg: cfg, acct: acct}, nil
+	base := cfg.Seed
+	if cfg.Noise != nil {
+		base = cfg.Noise.Base()
+	}
+	return &Generator{
+		cfg:        cfg,
+		acct:       acct,
+		rowProbs:   skg.RowProbs(base, cfg.Levels),
+		production: !cfg.HighPrecision && cfg.Opts == recvec.Production(),
+	}, nil
 }
 
 // Config returns the generator's configuration.
@@ -95,10 +116,11 @@ func (g *Generator) Config() Config { return g.cfg }
 
 // RowProb returns P_{u→} under the configured model.
 func (g *Generator) RowProb(u int64) float64 {
+	p := g.rowProbs[bits.OnesCount64(uint64(u)&(uint64(1)<<uint(g.cfg.Levels)-1))]
 	if g.cfg.Noise != nil {
-		return g.cfg.Noise.RowProb(u, g.cfg.Levels)
+		return g.cfg.Noise.RowProbFrom(p, u, g.cfg.Levels)
 	}
-	return skg.RowProb(g.cfg.Seed, u, g.cfg.Levels)
+	return p
 }
 
 // ExpectedDegree returns E[|S(u,V)|] = |E|·P_{u→}, the partitioner's
@@ -122,90 +144,6 @@ func (g *Generator) ScopeSize(u int64, src *rng.Source) int64 {
 		}
 	}
 	return d
-}
-
-// dedupSet is the in-scope duplicate filter. Small scopes use a sorted
-// slice (cache-friendly, zero allocations after warm-up); large ones a
-// map. The 48-entry crossover favours the common case of edge factors
-// ~16 where most scopes are small.
-type dedupSet struct {
-	small []int64
-	big   map[int64]struct{}
-	// pool keeps a cleared map for reuse across scopes, avoiding a map
-	// allocation per high-degree scope.
-	pool    map[int64]struct{}
-	acct    *memacct.Acct
-	charged int64
-}
-
-const dedupSmallMax = 48
-
-func (s *dedupSet) reset() {
-	s.small = s.small[:0]
-	if s.big != nil {
-		// Recycle moderate maps; drop oversized ones so one hot scope
-		// does not pin memory for the rest of the run.
-		if len(s.big) <= 4096 {
-			clear(s.big)
-			s.pool = s.big
-		}
-		s.big = nil
-	}
-	if s.acct != nil && s.charged != 0 {
-		s.acct.Add(-s.charged)
-		s.charged = 0
-	}
-}
-
-func (s *dedupSet) charge() {
-	if s.acct != nil {
-		s.acct.Add(memacct.VertexBytes)
-		s.charged += memacct.VertexBytes
-	}
-}
-
-// insert returns false if v was already present.
-func (s *dedupSet) insert(v int64) bool {
-	if s.big != nil {
-		if _, dup := s.big[v]; dup {
-			return false
-		}
-		s.big[v] = struct{}{}
-		s.charge()
-		return true
-	}
-	// Binary search in the sorted small slice.
-	lo, hi := 0, len(s.small)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.small[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.small) && s.small[lo] == v {
-		return false
-	}
-	if len(s.small) < dedupSmallMax {
-		s.small = append(s.small, 0)
-		copy(s.small[lo+1:], s.small[lo:])
-		s.small[lo] = v
-		s.charge()
-		return true
-	}
-	// Graduate to map (reusing the pooled one when available).
-	if s.pool != nil {
-		s.big, s.pool = s.pool, nil
-	} else {
-		s.big = make(map[int64]struct{}, 2*dedupSmallMax)
-	}
-	for _, x := range s.small {
-		s.big[x] = struct{}{}
-	}
-	s.big[v] = struct{}{}
-	s.charge()
-	return true
 }
 
 // ScopeResult carries one generated scope.
@@ -233,6 +171,10 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) ScopeResult {
 // ScopeWithSize generates exactly `size` distinct destinations for u
 // (clamped to |V|). It is split from Scope so the partitioner can draw
 // scope sizes ahead of time (Figure 6) and later generate the edges.
+//
+// After warm-up a production scope allocates nothing: the vector is
+// rebuilt in place, the dedup table is reused, and the memory account
+// is charged once for the whole scope.
 func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []int64) ScopeResult {
 	if nv := g.cfg.NumVertices(); size > nv {
 		size = nv
@@ -242,81 +184,71 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		return res
 	}
 
-	cfg := g.cfg
-	var (
-		vec *recvec.Vector
-		big *recvec.BigVector
-	)
-	build := func() {
-		if cfg.HighPrecision {
-			big = recvec.NewBig(cfg.Seed, u, cfg.Levels, 0)
-			return
-		}
-		if cfg.Noise != nil {
-			vec = recvec.NewNoisy(cfg.Noise, u, cfg.Levels)
-		} else {
-			vec = recvec.New(cfg.Seed, u, cfg.Levels)
-		}
-	}
-	build()
-	vecBytes := int64((cfg.Levels + 1) * 16) // f + sigma, float64 each
-	if g.acct != nil {
-		g.acct.Add(vecBytes)
-		defer g.acct.Add(-vecBytes)
-	}
-
 	var total float64
-	if big != nil {
-		total = big.RowProb()
+	if g.cfg.HighPrecision {
+		g.big = recvec.NewBig(g.cfg.Seed, u, g.cfg.Levels, 0)
+		total = g.big.RowProb()
 	} else {
-		total = vec.RowProb()
+		g.build(u)
+		total = g.vec.RowProb()
 	}
-	if total <= 0 {
-		return res
-	}
-
-	if cfg.AllowDuplicates {
-		for res.Attempts < size {
-			if !cfg.Opts.ReuseVector && !cfg.HighPrecision {
-				build()
+	if total > 0 {
+		if g.cfg.AllowDuplicates {
+			for res.Attempts < size {
+				res.Dsts = append(res.Dsts, g.draw(u, total, src))
+				res.Attempts++
 			}
-			x := src.UniformTo(total)
-			var dst int64
-			if big != nil {
-				dst = big.Determine(x)
-			} else {
-				dst = vec.DetermineOpt(x, src, cfg.Opts)
-			}
-			res.Attempts++
-			res.Dsts = append(res.Dsts, dst)
-		}
-		return res
-	}
-
-	set := &g.scratch
-	set.acct = g.acct
-	set.reset()
-	defer set.reset()
-	// A scope close to |V| distinct cells would make rejection sampling
-	// quadratic; bail into direct enumeration when duplicates dominate
-	// pathologically (uniform seeds with tiny graphs in tests).
-	maxAttempts := 64*size + 1024
-
-	for int64(len(res.Dsts)) < size && res.Attempts < maxAttempts {
-		if !cfg.Opts.ReuseVector && !cfg.HighPrecision {
-			build() // Idea#1 ablation: rebuild the vector for every edge
-		}
-		x := src.UniformTo(total)
-		var dst int64
-		if big != nil {
-			dst = big.Determine(x)
 		} else {
-			dst = vec.DetermineOpt(x, src, cfg.Opts)
+			g.dedup.prepare(size)
+			// A scope close to |V| distinct cells would make rejection
+			// sampling quadratic; bail into direct enumeration when
+			// duplicates dominate pathologically (uniform seeds with tiny
+			// graphs in tests).
+			maxAttempts := 64*size + 1024
+			for int64(len(res.Dsts)) < size && res.Attempts < maxAttempts {
+				dst := g.draw(u, total, src)
+				res.Attempts++
+				if g.dedup.insert(dst) {
+					res.Dsts = append(res.Dsts, dst)
+				}
+			}
+			g.dedup.reset(res.Dsts)
 		}
-		res.Attempts++
-		if set.insert(dst) {
-			res.Dsts = append(res.Dsts, dst)
+	}
+	if g.acct != nil {
+		// One charge for the whole scope: the vector (f and sigma,
+		// float64 each) plus the dedup table's distinct destinations.
+		held := int64((g.cfg.Levels + 1) * 16)
+		if !g.cfg.AllowDuplicates {
+			held += memacct.VertexBytes * int64(len(res.Dsts))
 		}
+		g.acct.Add(held)
+		g.acct.Add(-held)
 	}
 	return res
+}
+
+// build rebuilds the scope's recursive vector for source u in place.
+func (g *Generator) build(u int64) {
+	if g.cfg.Noise != nil {
+		g.vec.ResetNoisy(g.cfg.Noise, u, g.cfg.Levels)
+	} else {
+		g.vec.Reset(g.cfg.Seed, u, g.cfg.Levels)
+	}
+}
+
+// draw determines one destination of scope u from a fresh uniform value
+// in [0, total).
+func (g *Generator) draw(u int64, total float64, src *rng.Source) int64 {
+	x := src.UniformTo(total)
+	if g.production {
+		return g.vec.Determine(x)
+	}
+	if g.cfg.HighPrecision {
+		return g.big.Determine(x)
+	}
+	if !g.cfg.Opts.ReuseVector {
+		g.build(u) // Idea#1 ablation: rebuild the vector for every edge
+	}
+	return g.vec.DetermineOpt(x, src, g.cfg.Opts)
 }

@@ -1,8 +1,9 @@
 package avs
 
-// Ablation benchmarks for the in-scope dedup structure (DESIGN.md §5):
-// the sorted small slice vs a Go map across degrees around the
-// crossover. Run with `go test -bench=Dedup ./internal/avs/`.
+// Benchmarks for the in-scope dedup structure (DESIGN.md §5): the
+// open-addressed table, prepared and reset per scope as ScopeWithSize
+// does, vs a fresh Go map, across scope degrees below and above the
+// retention cap. Run with `go test -bench=Dedup ./internal/avs/`.
 
 import (
 	"testing"
@@ -10,18 +11,24 @@ import (
 	"repro/internal/rng"
 )
 
-func benchDedupSlice(b *testing.B, degree int) {
+func benchDedupTable(b *testing.B, degree int) {
 	src := rng.New(1)
 	vals := make([]int64, degree)
+	var tab dedupTable
+	var kept []int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := dedupSet{}
 		for j := range vals {
 			vals[j] = src.Int63n(1 << 30)
 		}
+		tab.prepare(int64(degree))
+		kept = kept[:0]
 		for _, v := range vals {
-			s.insert(v)
+			if tab.insert(v) {
+				kept = append(kept, v)
+			}
 		}
+		tab.reset(kept)
 	}
 }
 
@@ -40,9 +47,11 @@ func benchDedupMap(b *testing.B, degree int) {
 	}
 }
 
-func BenchmarkDedupHybridDegree8(b *testing.B)   { benchDedupSlice(b, 8) }
-func BenchmarkDedupMapDegree8(b *testing.B)      { benchDedupMap(b, 8) }
-func BenchmarkDedupHybridDegree32(b *testing.B)  { benchDedupSlice(b, 32) }
-func BenchmarkDedupMapDegree32(b *testing.B)     { benchDedupMap(b, 32) }
-func BenchmarkDedupHybridDegree512(b *testing.B) { benchDedupSlice(b, 512) }
-func BenchmarkDedupMapDegree512(b *testing.B)    { benchDedupMap(b, 512) }
+func BenchmarkDedupTableDegree8(b *testing.B)     { benchDedupTable(b, 8) }
+func BenchmarkDedupMapDegree8(b *testing.B)       { benchDedupMap(b, 8) }
+func BenchmarkDedupTableDegree32(b *testing.B)    { benchDedupTable(b, 32) }
+func BenchmarkDedupMapDegree32(b *testing.B)      { benchDedupMap(b, 32) }
+func BenchmarkDedupTableDegree512(b *testing.B)   { benchDedupTable(b, 512) }
+func BenchmarkDedupMapDegree512(b *testing.B)     { benchDedupMap(b, 512) }
+func BenchmarkDedupTableDegree16384(b *testing.B) { benchDedupTable(b, 16384) }
+func BenchmarkDedupMapDegree16384(b *testing.B)   { benchDedupMap(b, 16384) }

@@ -551,9 +551,10 @@ func (l *Layout) generateBlock(b Block, w gformat.Writer, tel *telemetry.Registr
 	}
 	rows := b.SrcHi - b.SrcLo
 	var buf []int64
+	var src rng.Source
 	for u := int64(0); u < rows; u++ {
-		src := rng.NewScoped(b.Seed, uint64(u))
-		dsts, att := g.scope(u, src, buf)
+		src.Reset(rng.Mix64(b.Seed, uint64(u)))
+		dsts, att := g.scope(u, &src, buf)
 		buf = dsts
 		for i := range dsts {
 			dsts[i] += b.DstLo

@@ -87,17 +87,17 @@ func TestTable2Shapes(t *testing.T) {
 	}
 	cdfLinear := res.Cell("CDF vector", "linear", 14)
 	cdfBinary := res.Cell("CDF vector", "binary", 14)
-	recBinary := res.Cell("RecVec", "binary", 14)
-	if cdfLinear <= 0 || cdfBinary <= 0 || recBinary <= 0 {
-		t.Fatalf("missing cells: %v %v %v", cdfLinear, cdfBinary, recBinary)
+	recScan := res.Cell("RecVec", "scan", 14)
+	if cdfLinear <= 0 || cdfBinary <= 0 || recScan <= 0 {
+		t.Fatalf("missing cells: %v %v %v", cdfLinear, cdfBinary, recScan)
 	}
-	// Linear scan over 2^14 CDF entries must lose to both binary paths
-	// by a wide margin.
+	// Linear scan over 2^14 CDF entries must lose to CDF binary search
+	// and to the RecVec descent by a wide margin.
 	if cdfLinear < 5*cdfBinary {
 		t.Fatalf("CDF linear %v ns not ≫ binary %v ns", cdfLinear, cdfBinary)
 	}
-	if cdfLinear < 5*recBinary {
-		t.Fatalf("CDF linear %v ns not ≫ RecVec %v ns", cdfLinear, recBinary)
+	if cdfLinear < 5*recScan {
+		t.Fatalf("CDF linear %v ns not ≫ RecVec %v ns", cdfLinear, recScan)
 	}
 	res.Report().Print(&bytes.Buffer{})
 }

@@ -20,8 +20,9 @@ type Table2Row struct {
 
 // Table2Result compares destination determination on the naive CDF
 // vector (linear and binary search, O(|V|) space) against the recursive
-// vector (binary and linear search, O(log|V|) space) — the paper's
-// Table 2 plus the space column that motivates it.
+// vector (the production downward scan and the upward linear scan,
+// O(log|V|) space) — the paper's Table 2 plus the space column that
+// motivates it.
 type Table2Result struct {
 	Rows []Table2Row
 }
@@ -78,8 +79,10 @@ func Table2(scales []int, drawsPerCell int) (*Table2Result, error) {
 			)
 		}
 
+		// "scan" is the production descent (a downward scan from the
+		// previously selected bit), "linear" the upward-scan ablation.
 		vec := recvec.New(seed, u, sc)
-		for _, search := range []string{"binary", "linear"} {
+		for _, search := range []string{"scan", "linear"} {
 			src := rng.New(9)
 			opts := recvec.Options{SparseRecursion: true, SingleRandom: true, LinearSearch: search == "linear"}
 			start := time.Now()

@@ -7,6 +7,12 @@
 // benchmark process and Go's GC makes RSS a lagging, noisy proxy. Each
 // tracked structure charges bytes to an Acct when it grows and releases
 // them when freed; the peak is the algorithm's space demand.
+//
+// Hot loops need not charge per element. The AVS scope generator charges
+// once per scope — its recursive vector plus one VertexBytes per distinct
+// destination — and releases the charge when the scope ends: the same
+// high-water mark per-element charging reaches, at two atomic updates
+// per scope instead of one per edge.
 package memacct
 
 import "sync/atomic"

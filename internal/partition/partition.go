@@ -47,15 +47,16 @@ func Plan(g *avs.Generator, masterSeed uint64, parts, binsPerPart int) ([]Range,
 
 	// Combine: walk all scopes in vertex order, drawing each scope's
 	// size from its private stream, and close a bin whenever it reaches
-	// the target. The size draws are sliced across GOMAXPROCS goroutines
-	// exactly as the paper slices the combine step across threads; the
-	// result is identical to a sequential walk because sizes are
-	// scope-seeded and bin boundaries depend only on the size sequence.
+	// the target. Sizes are drawn a fixed-size block of vertices at a
+	// time, each block sliced across GOMAXPROCS goroutines exactly as the
+	// paper slices the combine step across threads, so the planner holds
+	// O(sizeBlock) sizes at any scale. The result is identical to a
+	// sequential walk because sizes are scope-seeded and bin boundaries
+	// depend only on the size sequence.
 	binTarget := cfg.NumEdges / int64(parts*binsPerPart)
 	if binTarget < 1 {
 		binTarget = 1
 	}
-	sizes := drawSizesParallel(g, masterSeed, nv)
 	type bin struct {
 		lo, hi int64 // [lo, hi)
 		edges  int64
@@ -63,14 +64,19 @@ func Plan(g *avs.Generator, masterSeed uint64, parts, binsPerPart int) ([]Range,
 	var bins []bin
 	cur := bin{lo: 0}
 	var total int64
-	for u := int64(0); u < nv; u++ {
-		size := sizes[u]
-		cur.edges += size
-		total += size
-		if cur.edges >= binTarget {
-			cur.hi = u + 1
-			bins = append(bins, cur)
-			cur = bin{lo: u + 1}
+	sizes := make([]int64, min(nv, sizeBlock))
+	for base := int64(0); base < nv; base += sizeBlock {
+		block := sizes[:min(sizeBlock, nv-base)]
+		drawSizesParallel(g, masterSeed, base, block)
+		for i, size := range block {
+			cur.edges += size
+			total += size
+			if cur.edges >= binTarget {
+				u := base + int64(i)
+				cur.hi = u + 1
+				bins = append(bins, cur)
+				cur = bin{lo: u + 1}
+			}
 		}
 	}
 	if cur.lo < nv {
@@ -109,34 +115,30 @@ func Plan(g *avs.Generator, masterSeed uint64, parts, binsPerPart int) ([]Range,
 	return ranges, nil
 }
 
-// drawSizesParallel samples every scope size, slicing the vertex space
-// across GOMAXPROCS goroutines. Each scope has its own seeded stream,
-// so the slicing cannot change any value.
-func drawSizesParallel(g *avs.Generator, masterSeed uint64, nv int64) []int64 {
-	sizes := make([]int64, nv)
-	workers := int64(runtime.GOMAXPROCS(0))
-	if workers > nv {
-		workers = 1
-	}
+// sizeBlock is the number of scope sizes the planner draws per
+// parallel step (128 KiB of sizes).
+const sizeBlock = 1 << 14
+
+// drawSizesParallel fills sizes[i] with the scope size of vertex base+i,
+// slicing the block across GOMAXPROCS goroutines. Each scope has its own
+// seeded stream, so the slicing cannot change any value.
+func drawSizesParallel(g *avs.Generator, masterSeed uint64, base int64, sizes []int64) {
+	n := int64(len(sizes))
+	workers := min(int64(runtime.GOMAXPROCS(0)), n)
 	var wg sync.WaitGroup
-	chunk := (nv + workers - 1) / workers
-	for w := int64(0); w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nv {
-			hi = nv
-		}
-		if lo >= hi {
-			continue
-		}
+	chunk := (n + workers - 1) / workers
+	for lo := int64(0); lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int64) {
 			defer wg.Done()
-			for u := lo; u < hi; u++ {
-				sizes[u] = g.ScopeSize(u, rng.NewScoped(masterSeed, uint64(u)))
+			var src rng.Source
+			for i := lo; i < hi; i++ {
+				u := base + i
+				src.Reset(rng.Mix64(masterSeed, uint64(u)))
+				sizes[i] = g.ScopeSize(u, &src)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	return sizes
 }

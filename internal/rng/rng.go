@@ -52,16 +52,24 @@ type Source struct {
 // state expansion, as recommended by the xoshiro authors.
 func New(seed uint64) *Source {
 	var src Source
+	src.Reset(seed)
+	return &src
+}
+
+// Reset reseeds r in place: afterwards r produces exactly the stream of
+// New(seed). Scope loops reuse one Source per worker this way instead of
+// allocating a fresh stream per scope.
+func (r *Source) Reset(seed uint64) {
 	st := seed
-	for i := range src.s {
-		src.s[i] = SplitMix64(&st)
+	for i := range r.s {
+		r.s[i] = SplitMix64(&st)
 	}
 	// xoshiro256** requires a nonzero state; splitmix64 of any seed gives
 	// all-zero with probability ~2^-256, but guard anyway.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9E3779B97F4A7C15
+	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
+		r.s[0] = 0x9E3779B97F4A7C15
 	}
-	return &src
+	r.spare, r.hasSpare = 0, false
 }
 
 // NewScoped returns the private stream of scope `scope` under the given

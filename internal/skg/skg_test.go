@@ -448,3 +448,60 @@ func TestFitSeed(t *testing.T) {
 		t.Fatal("expected assortativity error")
 	}
 }
+
+// TestRowProbTablesBitIdentical: the popcount table reproduces RowProb,
+// and the tabulated Lemma 7 factors reproduce the direct evaluation,
+// bit for bit (on plain and transposed noise).
+func TestRowProbTablesBitIdentical(t *testing.T) {
+	src := rng.New(73)
+	for _, levels := range []int{1, 7, 20, 33, 47} {
+		ns, err := NewNoise(Graph500Seed, levels, 0.1, rng.New(uint64(levels)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if levels%2 == 1 {
+			ns = ns.Transpose()
+		}
+		plain := RowProbs(Graph500Seed, levels)
+		base := RowProbs(ns.Base(), levels)
+		for i := 0; i < 2000; i++ {
+			u := src.Int63n(int64(1) << uint(levels))
+			ones := bitsOnes(u)
+			if got, want := plain[ones], RowProb(Graph500Seed, u, levels); got != want {
+				t.Fatalf("levels=%d u=%d: table %v, RowProb %v", levels, u, got, want)
+			}
+			want := refNoisyRowProb(ns, u, levels)
+			if got := ns.RowProbFrom(base[ones], u, levels); got != want {
+				t.Fatalf("levels=%d u=%d: RowProbFrom %v, Lemma 7 %v", levels, u, got, want)
+			}
+			if got := ns.RowProb(u, levels); got != want {
+				t.Fatalf("levels=%d u=%d: Noise.RowProb %v, Lemma 7 %v", levels, u, got, want)
+			}
+		}
+	}
+}
+
+// refNoisyRowProb evaluates Lemma 7 directly, computing the factors
+// inline per level.
+func refNoisyRowProb(ns *Noise, u int64, levels int) float64 {
+	k := ns.Base()
+	cab := -(k.A - k.D) / ((k.A + k.D) * (k.A + k.B))
+	cgd := (k.A - k.D) / ((k.A + k.D) * (k.C + k.D))
+	p := RowProb(k, u, levels)
+	for i := 0; i < levels; i++ {
+		if (uint64(u)>>uint(levels-1-i))&1 == 0 {
+			p *= 1 + cab*ns.Mu(i)
+		} else {
+			p *= 1 + cgd*ns.Mu(i)
+		}
+	}
+	return p
+}
+
+func bitsOnes(u int64) int {
+	n := 0
+	for ; u != 0; u &= u - 1 {
+		n++
+	}
+	return n
+}
