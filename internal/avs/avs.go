@@ -168,6 +168,13 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) ScopeResult {
 	return g.ScopeWithSize(u, size, src, buf)
 }
 
+// DrawScope is Scope in the shape the core driver consumes: the
+// destinations and the stochastic trials spent on them.
+func (g *Generator) DrawScope(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
+	res := g.Scope(u, src, buf)
+	return res.Dsts, res.Attempts
+}
+
 // ScopeWithSize generates exactly `size` distinct destinations for u
 // (clamped to |V|). It is split from Scope so the partitioner can draw
 // scope sizes ahead of time (Figure 6) and later generate the edges.

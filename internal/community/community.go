@@ -22,6 +22,7 @@ package community
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -34,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/erv"
 	"repro/internal/gformat"
+	"repro/internal/memacct"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/skg"
@@ -274,7 +276,7 @@ func New(cfg Config) (*Layout, error) {
 			// Probe-build the block's generator so a bad configuration
 			// (including empty/inverted rectangles, as *erv.RangeError)
 			// fails at spec time, not mid-generation.
-			if _, err := l.newScoper(b); err != nil {
+			if _, err := l.newScoper(b, nil); err != nil {
 				return nil, fmt.Errorf("community: block (%d,%d): %w", i, j, err)
 			}
 			l.blocks = append(l.blocks, b)
@@ -465,27 +467,6 @@ func (l *Layout) EnsureManifest(dir string, format gformat.Format, parts int) er
 	return core.EnsureSourceManifest(dir, l.fp, spec, format, parts)
 }
 
-// scoper is one block's destination-scope generator.
-type scoper interface {
-	// scope draws local source u's destinations (block-local ids) and
-	// the stochastic attempt count.
-	scope(u int64, src *rng.Source, buf []int64) ([]int64, int64)
-}
-
-type avsScoper struct{ g *avs.Generator }
-
-func (s avsScoper) scope(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
-	res := s.g.Scope(u, src, buf)
-	return res.Dsts, res.Attempts
-}
-
-type ervScoper struct{ g *erv.Generator }
-
-func (s ervScoper) scope(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
-	dsts := s.g.Scope(u, src, buf)
-	return dsts, int64(len(dsts))
-}
-
 // distForSlope maps a Lemma-6 Zipf slope onto an ERV distribution:
 // properly negative slopes are Zipfian; a flat (uniform-seed) slope
 // degenerates to Gaussian, matching erv's own seed mapping.
@@ -496,12 +477,12 @@ func distForSlope(slope float64) erv.Dist {
 	return erv.Dist{Kind: erv.Gaussian}
 }
 
-// newScoper builds block b's generator. Power-of-two intra blocks run
-// the real AVS engine (SKG, or NSKG when Noise is set, with the noise
-// stream derived from the block seed); everything else — rectangles
-// and odd-sized squares — runs ERV with the seed's Lemma-6 slopes.
-// Generators are not concurrency-safe: one scoper per concurrent block.
-func (l *Layout) newScoper(b Block) (scoper, error) {
+// newScoper builds block b's generator charging acct (which may be
+// nil). Power-of-two intra blocks run the real AVS engine (SKG, or NSKG
+// when Noise is set, with the noise stream derived from the block
+// seed); everything else — rectangles and odd-sized squares — runs ERV
+// with the seed's Lemma-6 slopes.
+func (l *Layout) newScoper(b Block, acct *memacct.Acct) (core.Scoper, error) {
 	rows, cols := b.SrcHi-b.SrcLo, b.DstHi-b.DstLo
 	seed := *l.cfg.Seed
 	if b.Intra && rows >= 2 && rows == cols && rows&(rows-1) == 0 {
@@ -519,100 +500,56 @@ func (l *Layout) newScoper(b Block) (scoper, error) {
 			}
 			acfg.Noise = n
 		}
-		g, err := avs.New(acfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		return avsScoper{g: g}, nil
+		return avs.New(acfg, acct)
 	}
-	ecfg := erv.Config{
+	return erv.NewAccounted(erv.Config{
 		NumSrc:          rows,
 		NumDst:          cols,
 		NumEdges:        b.Edges,
 		OutDist:         distForSlope(seed.OutZipfSlope()),
 		InDist:          distForSlope(seed.InZipfSlope()),
 		AllowDuplicates: l.cfg.AllowDuplicates,
-	}
-	g, err := erv.New(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	return ervScoper{g: g}, nil
+	}, acct)
 }
 
-// generateBlock writes block b through w: scope u of the block draws
-// from rng.NewScoped(b.Seed, u) — fully independent of every other
-// scope and block, which is the whole determinism story — and lands as
-// global scope (SrcLo+u, dsts+DstLo). The writer is not closed.
-func (l *Layout) generateBlock(b Block, w gformat.Writer, tel *telemetry.Registry, onScope func()) (edges, attempts, maxDeg int64, err error) {
-	g, err := l.newScoper(b)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	rows := b.SrcHi - b.SrcLo
-	var buf []int64
-	var src rng.Source
-	for u := int64(0); u < rows; u++ {
-		src.Reset(rng.Mix64(b.Seed, uint64(u)))
-		dsts, att := g.scope(u, &src, buf)
-		buf = dsts
-		for i := range dsts {
-			dsts[i] += b.DstLo
+// Runs returns the layout's blocks in part order as core driver runs:
+// local scope u of block b draws from Mix64(b.Seed, u) — fully
+// independent of every other scope and block, which is the whole
+// determinism story — and lands as global scope (SrcLo+u, dsts+DstLo).
+// With tel set, each finished block feeds the community.* counters.
+func (l *Layout) Runs(tel *telemetry.Registry) []core.Run {
+	runs := make([]core.Run, len(l.blocks))
+	for i, b := range l.blocks {
+		runs[i] = core.Run{
+			Seed: b.Seed, Hi: b.SrcHi - b.SrcLo, SrcOff: b.SrcLo, DstOff: b.DstLo,
+			NewScoper: func(acct *memacct.Acct) (core.Scoper, error) { return l.newScoper(b, acct) },
 		}
-		attempts += att
-		edges += int64(len(dsts))
-		if int64(len(dsts)) > maxDeg {
-			maxDeg = int64(len(dsts))
-		}
-		if err := w.WriteScope(b.SrcLo+u, dsts); err != nil {
-			return edges, attempts, maxDeg, err
-		}
-		if onScope != nil {
-			onScope()
+		if tel != nil {
+			kind := MetricInterEdges
+			if b.Intra {
+				kind = MetricIntraEdges
+			}
+			runs[i].Done = func(edges int64) {
+				tel.Counter(MetricBlocksGenerated).Inc()
+				tel.Counter(kind).Add(edges)
+			}
 		}
 	}
-	if tel != nil {
-		tel.Counter(MetricBlocksGenerated).Inc()
-		if b.Intra {
-			tel.Counter(MetricIntraEdges).Add(edges)
-		} else {
-			tel.Counter(MetricInterEdges).Add(edges)
-		}
-	}
-	return edges, attempts, maxDeg, nil
+	return runs
 }
 
-// GeneratePart implements core.PartSource: block id into a writer from
-// sinks(0, r). On success the writer is closed (publishing the part,
-// under atomic sinks); on error it is abandoned unclosed, exactly like
-// the flat generator's workers, so a failed part is never renamed into
-// place.
+// GeneratePart implements core.PartSource: block id through
+// core.DrivePart into a writer from sinks(0, r). On error the writer is
+// abandoned unclosed, so a failed part is never renamed into place.
 func (l *Layout) GeneratePart(id int, r partition.Range, sinks core.SinkFactory, tel *telemetry.Registry) (core.Stats, error) {
 	if id < 0 || id >= len(l.blocks) {
 		return core.Stats{}, fmt.Errorf("community: part %d outside the %d-block layout", id, len(l.blocks))
 	}
 	b := l.blocks[id]
-	start := time.Now()
-	w, err := sinks(0, r)
+	st, err := core.DrivePart(l.Runs(tel)[id], r, sinks, tel)
 	if err != nil {
-		return core.Stats{}, err
+		return st, fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
 	}
-	edges, attempts, maxDeg, err := l.generateBlock(b, w, tel, nil)
-	if err != nil {
-		return core.Stats{}, fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
-	}
-	if err := w.Close(); err != nil {
-		return core.Stats{}, err
-	}
-	st := core.Stats{
-		Edges:        edges,
-		Attempts:     attempts,
-		MaxDegree:    maxDeg,
-		BytesWritten: w.BytesWritten(),
-		GenDuration:  time.Since(start),
-		Ranges:       []partition.Range{r},
-	}
-	st.Elapsed = st.GenDuration
 	return st, nil
 }
 
@@ -693,28 +630,16 @@ func (l *Layout) GenerateToDir(dir string, format gformat.Format, opt RunOptions
 	return st, nil
 }
 
-// GenerateStream writes every block in part order through one writer.
-// The bytes are exactly the batch part files concatenated — TSV and
-// ADJ6 encode scope by scope with no global state — which is what lets
-// the HTTP server stream a community job and still share artifacts
-// with the part-file world. onScope, if non-nil, is called per scope
-// (progress accounting). The writer is not closed.
+// GenerateStream writes every block in part order through w, inline,
+// and closes it. The bytes are exactly the batch part files
+// concatenated — TSV and ADJ6 encode scope by scope with no global
+// state — which is what lets the HTTP server stream a community job
+// (its Runs, fanned out by the driver) and still share artifacts with
+// the part-file world. onScope, if non-nil, is called per scope.
 func (l *Layout) GenerateStream(w gformat.Writer, tel *telemetry.Registry, onScope func()) (core.Stats, error) {
-	start := time.Now()
-	var st core.Stats
-	for _, b := range l.blocks {
-		edges, attempts, maxDeg, err := l.generateBlock(b, w, tel, onScope)
-		st.Edges += edges
-		st.Attempts += attempts
-		if maxDeg > st.MaxDegree {
-			st.MaxDegree = maxDeg
-		}
-		if err != nil {
-			return st, fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
-		}
+	var hook func(int64, int)
+	if onScope != nil {
+		hook = func(int64, int) { onScope() }
 	}
-	st.BytesWritten = w.BytesWritten()
-	st.GenDuration = time.Since(start)
-	st.Elapsed = st.GenDuration
-	return st, nil
+	return core.Drive(context.Background(), l.Runs(tel), w, core.DriveOptions{Workers: 1, Tel: tel, OnScope: hook})
 }

@@ -128,6 +128,8 @@ func (c Config) workers() int {
 
 // Stats reports a completed run.
 type Stats struct {
+	// Scopes is the number of scopes written, empty ones included.
+	Scopes int64
 	// Edges is the number of edges generated (and written).
 	Edges int64
 	// Attempts counts stochastic trials including in-scope duplicates.
@@ -150,8 +152,8 @@ type Stats struct {
 	Ranges []partition.Range
 }
 
-// SinkFactory supplies one writer per worker. It is called before
-// workers start, in worker order. The worker closes its writer.
+// SinkFactory supplies one writer per worker, called from the worker
+// as it starts. The worker closes its writer.
 type SinkFactory func(worker int, r partition.Range) (gformat.Writer, error)
 
 // DiscardSinks returns a factory of counting no-op writers in the given
@@ -343,116 +345,20 @@ func GenerateRanges(cfg Config, ranges []partition.Range, sinks SinkFactory) (St
 }
 
 // GenerateRangesObserved is GenerateRanges feeding the given telemetry
-// registry (nil disables instrumentation). Worker wall time is split
-// between the scope-draw and sink-write stages by timing the writer
-// calls locally, so the hot loop never touches shared state.
+// registry (nil disables instrumentation): each range is one part of
+// GenerateParts, drawn inline by the scope driver.
 func GenerateRangesObserved(cfg Config, ranges []partition.Range, sinks SinkFactory, tel *telemetry.Registry) (Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
 	}
-	workers := len(ranges)
-	if workers == 0 {
+	if len(ranges) == 0 {
 		return Stats{}, fmt.Errorf("core: no ranges to generate")
 	}
-	accts := make([]memacct.Acct, workers)
-	gens := make([]*avs.Generator, workers)
-	buildStart := time.Now()
-	for i := range gens {
-		g, err := NewScopeGenerator(cfg, &accts[i])
-		if err != nil {
-			return Stats{}, err
-		}
-		gens[i] = g
+	ids := make([]int, len(ranges))
+	for i := range ids {
+		ids[i] = i
 	}
-	var timed []*timedWriter
-	if tel != nil {
-		tel.Stage(StageRecvecBuild).Observe(time.Since(buildStart), int64(workers))
-		timed = make([]*timedWriter, workers)
-		sinks = observedSinkFactory(sinks, tel.RateGauge(MetricEdgesPerSec, 0), timed)
-	}
-
-	var st Stats
-	st.Ranges = ranges
-
-	writers := make([]gformat.Writer, workers)
-	for i, r := range ranges {
-		w, err := sinks(i, r)
-		if err != nil {
-			return st, err
-		}
-		writers[i] = w
-	}
-
-	genStart := time.Now()
-	type workerOut struct {
-		edges, attempts, maxDeg int64
-		dur                     time.Duration
-		err                     error
-	}
-	outs := make([]workerOut, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out := &outs[i]
-			g := gens[i]
-			w := writers[i]
-			workerStart := time.Now()
-			defer func() { out.dur = time.Since(workerStart) }()
-			var buf []int64
-			var src rng.Source
-			for u := ranges[i].Lo; u < ranges[i].Hi; u++ {
-				src.Reset(rng.Mix64(cfg.MasterSeed, uint64(u)))
-				res := g.Scope(u, &src, buf)
-				buf = res.Dsts
-				out.attempts += res.Attempts
-				out.edges += int64(len(res.Dsts))
-				if int64(len(res.Dsts)) > out.maxDeg {
-					out.maxDeg = int64(len(res.Dsts))
-				}
-				if err := w.WriteScope(u, res.Dsts); err != nil {
-					out.err = err
-					return
-				}
-			}
-			out.err = w.Close()
-		}(i)
-	}
-	wg.Wait()
-	st.GenDuration = time.Since(genStart)
-	if tel != nil {
-		draw, write := tel.Stage(StageScopeDraw), tel.Stage(StageSinkWrite)
-		scopes, edges := tel.Counter(MetricScopes), tel.Counter(MetricEdges)
-		attempts, bytes := tel.Counter(MetricAttempts), tel.Counter(MetricBytes)
-		for i, out := range outs {
-			tw := timed[i]
-			write.Observe(tw.elapsed, out.edges)
-			if d := out.dur - tw.elapsed; d > 0 {
-				draw.Observe(d, tw.scopes)
-			}
-			scopes.Add(tw.scopes)
-			edges.Add(out.edges)
-			attempts.Add(out.attempts)
-			bytes.Add(writers[i].BytesWritten())
-		}
-	}
-	st.Elapsed = st.GenDuration
-	for i, out := range outs {
-		if out.err != nil {
-			return st, fmt.Errorf("core: worker %d: %w", i, out.err)
-		}
-		st.Edges += out.edges
-		st.Attempts += out.attempts
-		if out.maxDeg > st.MaxDegree {
-			st.MaxDegree = out.maxDeg
-		}
-		st.BytesWritten += writers[i].BytesWritten()
-		if p := accts[i].Peak(); p > st.PeakWorkerBytes {
-			st.PeakWorkerBytes = p
-		}
-	}
-	return st, nil
+	return GenerateParts(NewConfigSource(cfg), ranges, ids, sinks, tel)
 }
 
 // GenerateSeq is the single-threaded entry point (TrillionG/seq of

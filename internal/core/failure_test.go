@@ -49,8 +49,8 @@ func TestSinkErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestSinkFactoryErrorAborts: a factory error aborts before any worker
-// starts.
+// TestSinkFactoryErrorAborts: a factory error fails the run; the
+// failing worker generates nothing.
 func TestSinkFactoryErrorAborts(t *testing.T) {
 	cfg := DefaultConfig(9)
 	cfg.Workers = 2

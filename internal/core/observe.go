@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/gformat"
 	"repro/internal/partition"
 	"repro/internal/telemetry"
@@ -94,48 +92,5 @@ func (c *countingWriter) settle() {
 	if b := c.Writer.BytesWritten(); b != c.lastOut {
 		c.bytes.Add(b - c.lastOut)
 		c.lastOut = b
-	}
-}
-
-// timedWriter measures the wall time a worker spends inside the format
-// encoder and sink (WriteScope and Close), accumulating locally so the
-// per-scope cost is two clock reads, no shared state.
-type timedWriter struct {
-	gformat.Writer
-	elapsed time.Duration
-	scopes  int64
-	rate    *telemetry.RateGauge
-}
-
-func (t *timedWriter) WriteScope(src int64, dsts []int64) error {
-	start := time.Now()
-	err := t.Writer.WriteScope(src, dsts)
-	t.elapsed += time.Since(start)
-	t.scopes++
-	if t.rate != nil {
-		t.rate.Add(int64(len(dsts)))
-	}
-	return err
-}
-
-func (t *timedWriter) Close() error {
-	start := time.Now()
-	err := t.Writer.Close()
-	t.elapsed += time.Since(start)
-	return err
-}
-
-// observedSinkFactory wraps each worker's writer in a timedWriter and
-// remembers them so the run can attribute worker wall time to the
-// draw and write stages after the fact.
-func observedSinkFactory(inner SinkFactory, rate *telemetry.RateGauge, timed []*timedWriter) SinkFactory {
-	return func(worker int, r partition.Range) (gformat.Writer, error) {
-		w, err := inner(worker, r)
-		if err != nil {
-			return nil, err
-		}
-		tw := &timedWriter{Writer: w, rate: rate}
-		timed[worker] = tw
-		return tw, nil
 	}
 }

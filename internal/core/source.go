@@ -100,12 +100,9 @@ func (s ConfigSource) PartKey(format gformat.Format, _ int, r partition.Range) s
 	return PartKey(s.cfg, format, r)
 }
 
-// GeneratePart implements PartSource by delegating to
-// GenerateRangesObserved for the single range, which is precisely what
-// the distributed worker and the swarm did before the abstraction —
-// bytes are unchanged.
+// GeneratePart implements PartSource: the range is one driver run.
 func (s ConfigSource) GeneratePart(_ int, r partition.Range, sinks SinkFactory, tel *telemetry.Registry) (Stats, error) {
-	return GenerateRangesObserved(s.cfg, []partition.Range{r}, sinks, tel)
+	return DrivePart(RangeRun(s.cfg, r.Lo, r.Hi), r, sinks, tel)
 }
 
 // EnsureManifest implements PartSource via EnsureRunManifest.
@@ -114,12 +111,11 @@ func (s ConfigSource) EnsureManifest(dir string, format gformat.Format, parts in
 }
 
 // GenerateParts executes the named parts of src concurrently — one
-// goroutine per part, mirroring GenerateRanges' goroutine-per-range
-// schedule — and merges their stats. sinks is keyed by position: part
-// ids[i] writes through sinks(i, ranges[i]). Per-part errors do not
-// cancel sibling parts (each part is independently useful and
-// independently resumable); the first error in part order is returned
-// after all parts settle.
+// worker goroutine per part — and merges their stats. sinks is keyed by
+// position: part ids[i] writes through sinks(i, ranges[i]). Per-part
+// errors do not cancel sibling parts (each part is independently useful
+// and independently resumable); the first error in part order is
+// returned, attributed to its worker, after all parts settle.
 func GenerateParts(src PartSource, ranges []partition.Range, ids []int, sinks SinkFactory, tel *telemetry.Registry) (Stats, error) {
 	if len(ranges) != len(ids) {
 		return Stats{}, fmt.Errorf("core: %d ranges but %d part ids", len(ranges), len(ids))
@@ -143,6 +139,7 @@ func GenerateParts(src PartSource, ranges []partition.Range, ids []int, sinks Si
 	var out Stats
 	out.Ranges = ranges
 	for _, st := range stats {
+		out.Scopes += st.Scopes
 		out.Edges += st.Edges
 		out.Attempts += st.Attempts
 		out.BytesWritten += st.BytesWritten
@@ -151,9 +148,9 @@ func GenerateParts(src PartSource, ranges []partition.Range, ids []int, sinks Si
 	}
 	out.GenDuration = time.Since(start)
 	out.Elapsed = out.GenDuration
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return out, err
+			return out, fmt.Errorf("core: worker %d: %w", i, err)
 		}
 	}
 	return out, nil

@@ -282,9 +282,9 @@ func executeLease(job Job, cfg WorkerConfig, conn net.Conn, send func(interface{
 		// a truncated part file, so a restart can trust what it finds.
 		// IngestingSinks publishes each finished part into the store
 		// (after the atomic rename, before telemetry). ObservedSinks
-		// feeds the per-format byte/edge counters and
-		// GenerateRangesObserved the stage spans, so a worker's
-		// -metrics-addr shows live core-pipeline throughput.
+		// feeds the per-format byte/edge counters and the scope driver
+		// the stage spans, so a worker's -metrics-addr shows live
+		// core-pipeline throughput.
 		sinks := core.ObservedSinks(
 			core.IngestingSinksFor(
 				core.AtomicPartSinks(cfg.OutDir, job.Format, src.NumVertices(), missingIDs),

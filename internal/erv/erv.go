@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"repro/internal/alias"
+	"repro/internal/memacct"
 	"repro/internal/recvec"
 	"repro/internal/rng"
 	"repro/internal/skg"
@@ -265,15 +266,23 @@ type Generator struct {
 	// outAlias samples empirical out-degrees (index = degree); inAlias
 	// samples empirical destination buckets spread over [0, NumDst).
 	outAlias, inAlias *alias.Table
+	// acct, when non-nil, is charged for each scope's dedup set.
+	acct *memacct.Acct
 }
 
 // New validates cfg and precomputes the shared vectors.
-func New(cfg Config) (*Generator, error) {
+func New(cfg Config) (*Generator, error) { return NewAccounted(cfg, nil) }
+
+// NewAccounted is New with a memory account, charged once per scope
+// with one memacct.VertexBytes per distinct destination. acct may be
+// nil.
+func NewAccounted(cfg Config, acct *memacct.Acct) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	g := &Generator{
 		cfg:       cfg,
+		acct:      acct,
 		srcLevels: levelsFor(cfg.NumSrc),
 		dstLevels: levelsFor(cfg.NumDst),
 	}
@@ -415,16 +424,24 @@ func (g *Generator) drawDst(src *rng.Source) int64 {
 // Scope generates source u's destinations (deduplicated unless
 // AllowDuplicates). Destinations use range-local IDs [0, NumDst).
 func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
+	dsts, _ := g.DrawScope(u, src, buf)
+	return dsts
+}
+
+// DrawScope is Scope also returning the stochastic trials spent,
+// including rejected in-scope duplicates — the core driver's scoper
+// shape.
+func (g *Generator) DrawScope(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
 	size := g.ScopeSize(u, src)
 	out := buf[:0]
 	if size <= 0 {
-		return out
+		return out, 0
 	}
 	if g.cfg.AllowDuplicates {
 		for int64(len(out)) < size {
 			out = append(out, g.drawDst(src))
 		}
-		return out
+		return out, size
 	}
 	seen := make(map[int64]struct{}, size)
 	attempts := int64(0)
@@ -437,7 +454,14 @@ func (g *Generator) Scope(u int64, src *rng.Source, buf []int64) []int64 {
 		seen[v] = struct{}{}
 		out = append(out, v)
 	}
-	return out
+	if g.acct != nil {
+		// One charge per scope for the dedup set's distinct
+		// destinations, the rule avs uses.
+		held := memacct.VertexBytes * int64(len(out))
+		g.acct.Add(held)
+		g.acct.Add(-held)
+	}
+	return out, attempts
 }
 
 // Generate runs all scopes of the collection, emitting range-local

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -156,5 +158,128 @@ func TestServerCommunitySpecRejections(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", name, resp.StatusCode, body)
 		}
+	}
+}
+
+// narrowSpec mixes AVS and ERV blocks with a four-wide community, so
+// ERV dedup rejections show up in the attempt counts.
+const narrowSpec = `{"sizes":[16,4,9],"mixing":[[6,1,1],[1,1,0],[1,1,3]],"edges":150,"noise":0.1,"master_seed":5}`
+
+func narrowLayout(t *testing.T) *community.Layout {
+	t.Helper()
+	cfg, err := community.ParseSpec([]byte(narrowSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := community.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lay
+}
+
+// TestCommunityStreamWorkersByteEqual: a community stream fanned out
+// over four producers is byte-equal to the single-producer stream and
+// to the batch part files, with identical stats.
+func TestCommunityStreamWorkersByteEqual(t *testing.T) {
+	lay := narrowLayout(t)
+	stream := func(workers int) ([]byte, StreamStats) {
+		var buf bytes.Buffer
+		st, err := streamRuns(context.Background(), lay.Runs(nil), gformat.ADJ6, &buf, StreamOptions{Workers: workers, Depth: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), st
+	}
+	one, st1 := stream(1)
+	four, st4 := stream(4)
+	if !bytes.Equal(one, four) || st1 != st4 {
+		t.Fatalf("workers 4 (%d bytes, %+v) differ from workers 1 (%d bytes, %+v)", len(four), st4, len(one), st1)
+	}
+	if want := batchCommunity(t, lay, gformat.ADJ6); !bytes.Equal(four, want) {
+		t.Fatalf("fanned-out stream differs from the batch part files")
+	}
+	if st4.Scopes != lay.ScopeTotal() || st4.PeakWorkerBytes <= 0 {
+		t.Fatalf("stats %+v, scope total %d", st4, lay.ScopeTotal())
+	}
+}
+
+// TestCommunityStreamCancel: cancelling a community stream mid-way
+// returns the context's error, inline and fanned out.
+func TestCommunityStreamCancel(t *testing.T) {
+	lay := narrowLayout(t)
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var n int
+		opt := StreamOptions{Workers: workers, OnScope: func(int64, int) {
+			if n++; n == 10 {
+				cancel()
+			}
+		}}
+		_, err := streamRuns(ctx, lay.Runs(nil), gformat.TSV, io.Discard, opt, nil)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
+		}
+		if int64(n) >= lay.ScopeTotal() {
+			t.Fatalf("workers %d: stream ran to completion despite cancellation", workers)
+		}
+	}
+}
+
+// TestCommunityJobWorkersCapped: community jobs take the spec's
+// workers under the same per-job cap as classic jobs.
+func TestCommunityJobWorkersCapped(t *testing.T) {
+	lim := specLimits{maxWorkersPerJob: 4}
+	for workers, want := range map[int]int{0: 4, 2: 2, 9: 4} {
+		c, err := JobSpec{Shape: "community", Workers: workers, Community: []byte(narrowSpec)}.compile(lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.workers != want {
+			t.Fatalf("workers %d compiled to %d, want %d", workers, c.workers, want)
+		}
+	}
+	if _, err := (JobSpec{Shape: "community", Workers: -1, Community: []byte(narrowSpec)}).compile(lim); err == nil {
+		t.Fatal("negative workers accepted")
+	}
+}
+
+// TestServerEmitsCoreMetrics: streams feed the server registry's
+// core.* totals, which must equal the summed stats of the same classic
+// and community streams run directly, ERV rejections included. The
+// community job's live counters must match its stream too.
+func TestServerEmitsCoreMetrics(t *testing.T) {
+	s, base := newTestServer(t, Options{})
+	classic := createJob(t, base, `{"scale":10,"format":"adj6","workers":2}`)
+	streamJobByID(t, base, classic)
+	comm := createJob(t, base, `{"shape":"community","format":"tsv","workers":2,"community":`+narrowSpec+`}`)
+	streamJobByID(t, base, comm)
+
+	cfg := core.DefaultConfig(10)
+	a, err := StreamRange(context.Background(), cfg, gformat.ADJ6, 0, cfg.NumVertices(), io.Discard, StreamOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := narrowLayout(t)
+	b, err := streamRuns(context.Background(), lay.Runs(nil), gformat.TSV, io.Discard, StreamOptions{Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Attempts <= b.Edges {
+		t.Fatalf("community attempts %d not above edges %d", b.Attempts, b.Edges)
+	}
+	tel := s.metrics.tel
+	for name, want := range map[string]int64{
+		core.MetricScopes:   a.Scopes + b.Scopes,
+		core.MetricEdges:    a.Edges + b.Edges,
+		core.MetricAttempts: a.Attempts + b.Attempts,
+	} {
+		if got := tel.CounterValue(name); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if st := getStatus(t, base, comm); st.EdgesStreamed != b.Edges || st.ScopesDone != b.Scopes {
+		t.Fatalf("community job status %+v, stream %+v", st, b)
 	}
 }

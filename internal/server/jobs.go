@@ -93,10 +93,11 @@ type specLimits struct {
 // configuration (classic shape) or a community layout, plus the
 // streamable format and concrete vertex range.
 type compiled struct {
-	cfg    core.Config
-	layout *community.Layout
-	format gformat.Format
-	lo, hi int64
+	cfg     core.Config
+	layout  *community.Layout
+	format  gformat.Format
+	lo, hi  int64
+	workers int
 }
 
 // scopesTotal is the number of scopes the job's stream emits: one per
@@ -127,6 +128,18 @@ func (s JobSpec) compileFormat() (gformat.Format, error) {
 	return format, nil
 }
 
+// compileWorkers resolves the spec's producer count: negative is an
+// error, and 0 or anything above the per-job cap becomes the cap.
+func (s JobSpec) compileWorkers(lim specLimits) (int, error) {
+	if s.Workers < 0 {
+		return 0, fmt.Errorf("server: negative workers")
+	}
+	if lim.maxWorkersPerJob > 0 && (s.Workers == 0 || s.Workers > lim.maxWorkersPerJob) {
+		return lim.maxWorkersPerJob, nil
+	}
+	return s.Workers, nil
+}
+
 // compile validates the spec against the limits and resolves it to a
 // compiled job.
 func (s JobSpec) compile(lim specLimits) (compiled, error) {
@@ -148,6 +161,10 @@ func (s JobSpec) compileCommunity(lim specLimits) (compiled, error) {
 		return compiled{}, fmt.Errorf("server: shape %q streams a whole community graph; scale, seed, noise, lo and hi must be unset", s.Shape)
 	}
 	format, err := s.compileFormat()
+	if err != nil {
+		return compiled{}, err
+	}
+	workers, err := s.compileWorkers(lim)
 	if err != nil {
 		return compiled{}, err
 	}
@@ -191,7 +208,7 @@ func (s JobSpec) compileCommunity(lim specLimits) (compiled, error) {
 	if lim.maxScale > 0 && lay.NumVertices() > int64(1)<<lim.maxScale {
 		return compiled{}, fmt.Errorf("server: %d vertices exceed the server's scale limit %d (2^%d)", lay.NumVertices(), lim.maxScale, lim.maxScale)
 	}
-	return compiled{layout: lay, format: format, lo: 0, hi: lay.NumVertices()}, nil
+	return compiled{layout: lay, format: format, lo: 0, hi: lay.NumVertices(), workers: workers}, nil
 }
 
 // compileClassic resolves the recursive-vector shape.
@@ -202,12 +219,16 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 	if lim.maxScale > 0 && s.Scale > lim.maxScale {
 		return compiled{}, fmt.Errorf("server: scale %d exceeds server limit %d", s.Scale, lim.maxScale)
 	}
+	workers, err := s.compileWorkers(lim)
+	if err != nil {
+		return compiled{}, err
+	}
 	cfg := core.Config{
 		Scale:           s.Scale,
 		EdgeFactor:      s.EdgeFactor,
 		NoiseParam:      s.Noise,
 		MasterSeed:      s.MasterSeed,
-		Workers:         s.Workers,
+		Workers:         workers,
 		Opts:            recvec.Production(),
 		AllowDuplicates: s.AllowDuplicates,
 	}
@@ -221,12 +242,6 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 		cfg.Seed = skg.Seed{A: s.Seed[0], B: s.Seed[1], C: s.Seed[2], D: s.Seed[3]}
 	} else {
 		cfg.Seed = skg.Graph500Seed
-	}
-	if cfg.Workers < 0 {
-		return compiled{}, fmt.Errorf("server: negative workers")
-	}
-	if lim.maxWorkersPerJob > 0 && (cfg.Workers == 0 || cfg.Workers > lim.maxWorkersPerJob) {
-		cfg.Workers = lim.maxWorkersPerJob
 	}
 	if err := cfg.Validate(); err != nil {
 		return compiled{}, err
@@ -245,7 +260,7 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 	if lo < 0 || hi < lo || hi > cfg.NumVertices() {
 		return compiled{}, fmt.Errorf("server: range [%d, %d) outside [0, %d)", lo, hi, cfg.NumVertices())
 	}
-	return compiled{cfg: cfg, format: format, lo: lo, hi: hi}, nil
+	return compiled{cfg: cfg, format: format, lo: lo, hi: hi, workers: workers}, nil
 }
 
 // Job is one registered generation request. Counters are updated live
@@ -266,6 +281,8 @@ type Job struct {
 	layout *community.Layout // non-nil for the community shapes
 	format gformat.Format
 	lo, hi int64
+	// workers is the stream's producer count, capped per job.
+	workers int
 
 	created time.Time
 
@@ -495,6 +512,7 @@ func (r *registry) add(spec JobSpec, tenant string, class sched.Class, cost int6
 		format:  c.format,
 		lo:      c.lo,
 		hi:      c.hi,
+		workers: c.workers,
 		created: r.now(),
 		state:   StatePending,
 	}

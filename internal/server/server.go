@@ -93,7 +93,7 @@ func (o Options) withDefaults() Options {
 		o.MaxScale = 34
 	}
 	if o.PipelineDepth < 1 {
-		o.PipelineDepth = defaultDepth
+		o.PipelineDepth = core.DefaultDepth
 	}
 	return o
 }
@@ -535,36 +535,24 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			// A spool-temp failure just means this stream isn't cached.
 		}
+		// Community jobs stream every block in part order through one
+		// encoder — byte-identical to the batch part files concatenated,
+		// so the spooled artifact is shared with the part-file world via
+		// the layout's whole-stream key.
+		runs := []core.Run{core.RangeRun(job.cfg, job.lo, job.hi)}
 		if job.layout != nil {
-			// Community jobs stream block by block through one encoder —
-			// byte-identical to the batch part files concatenated, so the
-			// spooled artifact is shared with the part-file world via the
-			// layout's whole-stream key.
-			var enc gformat.Writer
-			if enc, err = newStreamWriter(job.format, streamOut); err == nil {
-				var st core.Stats
-				st, err = job.layout.GenerateStream(enc, s.metrics.tel, func() {
-					job.scopes.Add(1)
-					s.metrics.scopesTotal.Add(1)
-				})
-				job.edges.Store(st.Edges)
-				s.metrics.addEdges(st.Edges)
-				if err == nil {
-					err = enc.Close()
-				}
-			}
-		} else {
-			_, err = StreamRange(ctx, job.cfg, job.format, job.lo, job.hi, streamOut, StreamOptions{
-				Workers: job.cfg.Workers,
-				Depth:   s.opts.PipelineDepth,
-				OnScope: func(_ int64, edges int) {
-					job.scopes.Add(1)
-					job.edges.Add(int64(edges))
-					s.metrics.scopesTotal.Add(1)
-					s.metrics.addEdges(int64(edges))
-				},
-			})
+			runs = job.layout.Runs(s.metrics.tel)
 		}
+		_, err = streamRuns(ctx, runs, job.format, streamOut, StreamOptions{
+			Workers: job.workers,
+			Depth:   s.opts.PipelineDepth,
+			OnScope: func(_ int64, edges int) {
+				job.scopes.Add(1)
+				job.edges.Add(int64(edges))
+				s.metrics.scopesTotal.Add(1)
+				s.metrics.addEdges(int64(edges))
+			},
+		}, s.metrics.tel)
 		if sw != nil {
 			s.ingestSpooled(sw, job, err)
 		}

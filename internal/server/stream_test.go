@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gformat"
+	"repro/internal/memacct"
+	"repro/internal/rng"
 )
 
 // concatParts reads every part file in dir in part order and returns
@@ -129,47 +132,81 @@ func TestStreamRangeEmptyRange(t *testing.T) {
 	}
 }
 
-// TestPipelineRunaheadBounded is the backpressure property: with no
-// consumer, producers stop after filling their bounded channels, so
-// run-ahead never exceeds workers·(depth+1) scopes.
+// countingScoper counts the scopes its producer has drawn.
+type countingScoper struct {
+	core.Scoper
+	drawn *atomic.Int64
+}
+
+func (c countingScoper) DrawScope(u int64, src *rng.Source, buf []int64) ([]int64, int64) {
+	c.drawn.Add(1)
+	return c.Scoper.DrawScope(u, src, buf)
+}
+
+// gatedWriter blocks its first WriteScope until gate closes, then
+// records the order scopes arrive in.
+type gatedWriter struct {
+	*gformat.DiscardWriter
+	gate <-chan struct{}
+	srcs []int64
+}
+
+func (g *gatedWriter) WriteScope(src int64, dsts []int64) error {
+	if len(g.srcs) == 0 {
+		<-g.gate
+	}
+	g.srcs = append(g.srcs, src)
+	return g.DiscardWriter.WriteScope(src, dsts)
+}
+
+// TestPipelineRunaheadBounded is the backpressure property of the
+// stream's fan-in: with the writer stalled, producers stop after
+// filling their bounded channels, so run-ahead never exceeds
+// workers·(depth+1) scopes; once released, scopes arrive exactly in
+// vertex order even though two producers interleave.
 func TestPipelineRunaheadBounded(t *testing.T) {
 	cfg := core.DefaultConfig(12)
 	const workers, depth = 2, 4
-	p, gens, err := newPipeline(cfg, 0, cfg.NumVertices(), workers, depth)
-	if err != nil {
-		t.Fatal(err)
+	var drawn atomic.Int64
+	run := core.RangeRun(cfg, 0, cfg.NumVertices())
+	build := run.NewScoper
+	run.NewScoper = func(acct *memacct.Acct) (core.Scoper, error) {
+		sc, err := build(acct)
+		return countingScoper{Scoper: sc, drawn: &drawn}, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p.start(ctx, cfg.MasterSeed, gens)
+	gate := make(chan struct{})
+	w := &gatedWriter{DiscardWriter: gformat.NewDiscardWriter(gformat.ADJ6), gate: gate}
+	done := make(chan error, 1)
+	go func() {
+		_, err := core.Drive(context.Background(), []core.Run{run}, w, core.DriveOptions{Workers: workers, Depth: depth})
+		done <- err
+	}()
 
 	// Let the producers run head-free; they must stall at the bound.
 	deadline := time.Now().Add(time.Second)
 	limit := int64(workers * (depth + 1))
 	for time.Now().Before(deadline) {
-		if p.generated.Load() > limit {
-			t.Fatalf("run-ahead %d exceeds bound %d", p.generated.Load(), limit)
+		if g := drawn.Load(); g > limit {
+			t.Fatalf("run-ahead %d exceeds bound %d", g, limit)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if g := p.generated.Load(); g < int64(workers*depth) {
-		t.Fatalf("producers generated only %d scopes; pipeline not running", g)
+	if g := drawn.Load(); g < int64(workers*depth) {
+		t.Fatalf("producers drew only %d scopes; fan-in not running", g)
 	}
 
-	// Drain a prefix in order: scopes must arrive exactly in vertex
-	// order even though two producers interleave.
-	for u := int64(0); u < 64; u++ {
-		msg, err := p.next(ctx, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg.src != u {
-			t.Fatalf("scope %d arrived when %d was due", msg.src, u)
-		}
-		p.recycle(u, msg.dsts)
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
-	cancel()
-	p.wg.Wait()
+	if int64(len(w.srcs)) != cfg.NumVertices() {
+		t.Fatalf("wrote %d scopes, want %d", len(w.srcs), cfg.NumVertices())
+	}
+	for u, src := range w.srcs {
+		if src != int64(u) {
+			t.Fatalf("scope %d arrived when %d was due", src, u)
+		}
+	}
 }
 
 func TestStreamRangeCancel(t *testing.T) {

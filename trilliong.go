@@ -259,9 +259,10 @@ type StreamOptions = server.StreamOptions
 // stream). The bytes are identical to the corresponding slice of the
 // part files GenerateToDir writes for the same (Config, MasterSeed):
 // scopes appear in vertex order, encoded exactly as the batch writers
-// encode them. Generation runs through a bounded channel pipeline, so
-// a slow w throttles the producers and memory stays O(Workers · d_max)
-// regardless of range size; cancelling ctx aborts the stream.
+// encode them. Generation runs through the scope driver's ordered
+// fan-in, so a slow w throttles the producers and memory stays
+// O(Workers · d_max) regardless of range size; cancelling ctx aborts
+// the stream.
 func (c Config) StreamRange(ctx context.Context, w io.Writer, format Format, lo, hi int64) (StreamStats, error) {
 	return c.StreamRangeOpts(ctx, w, format, lo, hi, StreamOptions{})
 }
