@@ -39,12 +39,11 @@ func chaosMasterConfig(cfg core.Config) MasterConfig {
 	}
 }
 
-// runChaosCluster runs a 3-worker cluster, each worker offering
-// threads generation goroutines, under whatever faultpoints are armed.
-// Worker errors are tolerated: a worker whose lease was requeued can
-// outlive the run and fail its final reconnect, exactly like a real
-// machine that comes back after the job finished.
-func runChaosCluster(t *testing.T, cfg core.Config, threads int) (Summary, []string, *telemetry.Registry) {
+// runChaosCluster runs a 3-worker cluster under whatever faultpoints
+// are armed. Worker errors are tolerated: a worker whose lease was
+// requeued can outlive the run and fail its final reconnect, exactly
+// like a real machine that comes back after the job finished.
+func runChaosCluster(t *testing.T, cfg core.Config) (Summary, []string, *telemetry.Registry) {
 	t.Helper()
 	m, err := NewMaster(chaosMasterConfig(cfg))
 	if err != nil {
@@ -62,7 +61,7 @@ func runChaosCluster(t *testing.T, cfg core.Config, threads int) (Summary, []str
 			// Errors deliberately dropped: see above.
 			RunWorker(WorkerConfig{
 				MasterAddr: m.Addr(),
-				Threads:    threads,
+				Threads:    2,
 				OutDir:     dirs[i],
 				MaxDials:   30,
 				Backoff:    backoff.Policy{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
@@ -108,7 +107,7 @@ func TestChaosKillAndStallBitIdentical(t *testing.T) {
 
 	// Undisturbed reference run.
 	faultpoint.Reset()
-	_, calmDirs, calmTel := runChaosCluster(t, cfg, 2)
+	_, calmDirs, calmTel := runChaosCluster(t, cfg)
 	want := readParts(t, calmDirs, "adj6")
 	if len(want) != 6 {
 		t.Fatalf("reference run produced %d parts, want 6", len(want))
@@ -124,7 +123,7 @@ func TestChaosKillAndStallBitIdentical(t *testing.T) {
 	if err := faultpoint.ArmSpecs("dist.worker.scope=drop*1,dist.worker.heartbeat=stall:3s*1"); err != nil {
 		t.Fatal(err)
 	}
-	sum, chaosDirs, tel := runChaosCluster(t, cfg, 2)
+	sum, chaosDirs, tel := runChaosCluster(t, cfg)
 	got := readParts(t, chaosDirs, "adj6")
 
 	if faultpoint.Hits("dist.worker.scope") == 0 {
@@ -158,15 +157,12 @@ func TestChaosKillAndStallBitIdentical(t *testing.T) {
 
 // TestChaosSinkFailureRetriedElsewhere: an injected write failure makes
 // one lease Fail; the requeued ranges complete on a retry and the file
-// set is still exactly the reference set. The workers run one thread
-// each, so a lease holds one range and every failure fails its own
-// lease: with two threads both injected failures can land in the two
-// ranges of one lease, which fails (and is requeued) once.
+// set is still exactly the reference set.
 func TestChaosSinkFailureRetriedElsewhere(t *testing.T) {
 	cfg := testConfig(10)
 
 	faultpoint.Reset()
-	_, calmDirs, _ := runChaosCluster(t, cfg, 1)
+	_, calmDirs, _ := runChaosCluster(t, cfg)
 	want := readParts(t, calmDirs, "adj6")
 
 	faultpoint.Reset()
@@ -174,7 +170,7 @@ func TestChaosSinkFailureRetriedElsewhere(t *testing.T) {
 	if err := faultpoint.Arm("core.sink.write", "fail:injected disk failure*2"); err != nil {
 		t.Fatal(err)
 	}
-	sum, chaosDirs, tel := runChaosCluster(t, cfg, 1)
+	sum, chaosDirs, tel := runChaosCluster(t, cfg)
 	got := readParts(t, chaosDirs, "adj6")
 
 	if sum.Requeues == 0 {

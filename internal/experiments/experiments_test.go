@@ -3,10 +3,8 @@ package experiments
 import (
 	"bytes"
 	"math"
-	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 )
@@ -16,38 +14,6 @@ import (
 // the machine-checked counterpart of EXPERIMENTS.md. Margins are
 // generous (the paper's gaps are multiples, not percents) so timing
 // noise on slow CI machines does not flake.
-
-// timingRuns is how often the timing-sensitive figures are rerun; each
-// cell keeps its fastest time (see fastest).
-const timingRuns = 3
-
-// fastest runs an experiment timingRuns times and lowers every row's
-// elapsed time to its minimum across the runs. Interference from other
-// processes only ever adds time, so the minimum is the cleanest
-// estimate of a cell; the rows' other fields are deterministic.
-func fastest[R, Row any](t *testing.T, run func() (R, error), rows func(R) []Row, elapsed func(*Row) *time.Duration) R {
-	t.Helper()
-	best, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < timingRuns; i++ {
-		next, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		br, nr := rows(best), rows(next)
-		if len(br) != len(nr) {
-			t.Fatalf("run %d has %d rows, first run %d", i, len(nr), len(br))
-		}
-		for j := range br {
-			if d := *elapsed(&nr[j]); d < *elapsed(&br[j]) {
-				*elapsed(&br[j]) = d
-			}
-		}
-	}
-	return best
-}
 
 func TestReportPrint(t *testing.T) {
 	r := Report{
@@ -252,10 +218,10 @@ func TestFig11aShapes(t *testing.T) {
 
 func TestFig11bShapes(t *testing.T) {
 	scales := []int{12, 13}
-	res := fastest(t,
-		func() (*Fig11bResult, error) { return Fig11b(scales, clusterForTest(), 0, t.TempDir()) },
-		func(r *Fig11bResult) []Fig11bRow { return r.Rows },
-		func(r *Fig11bRow) *time.Duration { return &r.Elapsed })
+	res, err := Fig11b(scales, clusterForTest(), 0, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	top := scales[len(scales)-1]
 	adj := res.Time("TrillionG (ADJ6)", top)
 	tsv := res.Time("TrillionG (TSV)", top)
@@ -299,10 +265,10 @@ func clusterForTest() cluster.Config {
 }
 
 func TestFig12Shapes(t *testing.T) {
-	res := fastest(t,
-		func() (*Fig12Result, error) { return Fig12([]int{12, 13, 14, 15}, 1) },
-		func(r *Fig12Result) []Fig12Row { return r.Rows },
-		func(r *Fig12Row) *time.Duration { return &r.Elapsed })
+	res, err := Fig12([]int{12, 13, 14, 15}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Time roughly doubles per scale; peak memory grows much slower
 	// than time over the sweep.
 	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
@@ -324,10 +290,10 @@ func TestFig12Shapes(t *testing.T) {
 }
 
 func TestFig13Shapes(t *testing.T) {
-	res := fastest(t,
-		func() (*Fig13Result, error) { return Fig13(15) },
-		func(r *Fig13Result) []Fig13Row { return r.Rows },
-		func(r *Fig13Row) *time.Duration { return &r.Elapsed })
+	res, err := Fig13(15)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 8 {
 		t.Fatalf("cells %d", len(res.Rows))
 	}
@@ -373,42 +339,16 @@ func TestFig14Shapes(t *testing.T) {
 	// Construction ratio: Graph500 ≫ TrillionG on the slow network. A
 	// single GC pause can spike one TrillionG leg's tiny construct
 	// phase, so take the min over both network legs (the quantity is
-	// network-independent for TrillionG). Each ratio is a quotient of
-	// millisecond phase times that a pause can push either way, so both
-	// sides are the median over ratioRuns runs of the figure.
-	const ratioRuns = 5
-	g5Ratios := []float64{res.Ratio("Graph500", "1G", sc)}
-	tgRatios := []float64{fig14TGRatio(res, sc)}
-	for run := 1; run < ratioRuns; run++ {
-		again, err := Fig14([]int{sc}, 1<<40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g5Ratios = append(g5Ratios, again.Ratio("Graph500", "1G", sc))
-		tgRatios = append(tgRatios, fig14TGRatio(again, sc))
-	}
-	g5Ratio, tgRatio := median(g5Ratios), median(tgRatios)
-	if g5Ratio < 2*tgRatio {
-		t.Fatalf("construction ratios not separated: g5 %v vs tg %v (runs: g5 %v, tg %v)",
-			g5Ratio, tgRatio, g5Ratios, tgRatios)
-	}
-	res.Report().Print(&bytes.Buffer{})
-}
-
-// fig14TGRatio is TrillionG's construction ratio, the smaller of its two
-// network legs.
-func fig14TGRatio(res *Fig14Result, sc int) float64 {
+	// network-independent for TrillionG).
 	tgRatio := res.Ratio("TrillionG", "1G", sc)
 	if r := res.Ratio("TrillionG", "IB", sc); r >= 0 && r < tgRatio {
 		tgRatio = r
 	}
-	return tgRatio
-}
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
+	if res.Ratio("Graph500", "1G", sc) < 2*tgRatio {
+		t.Fatalf("construction ratios not separated: g5 %v vs tg %v",
+			res.Ratio("Graph500", "1G", sc), tgRatio)
+	}
+	res.Report().Print(&bytes.Buffer{})
 }
 
 func TestBalanceShapes(t *testing.T) {

@@ -61,23 +61,16 @@ func TestScrambleIsBijective(t *testing.T) {
 // TestScrambleBreaksDegreeSkewOwnership: the benchmark's point is that
 // contiguous ranges of the scrambled space carry balanced load. Check
 // that the hottest machine's inbox is within 2x of the mean.
-//
-// The construct phase's skew is a ratio of measured task times. A pause
-// or preemption on a busy host lengthens whichever task it lands in and
-// can double that task's millisecond-long time, so the test keeps the
-// smallest skew of ten runs: interference only ever raises it.
 func TestScrambleBreaksOwnershipSkew(t *testing.T) {
 	cfg := baseConfig()
-	constructSkew := math.Inf(1)
-	for run := 0; run < 10; run++ {
-		res, err := Run(cfg, 7, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range res.Sim.Phases() {
-			if p.Name == "construct" {
-				constructSkew = min(constructSkew, p.Skew())
-			}
+	res, err := Run(cfg, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var constructSkew float64
+	for _, p := range res.Sim.Phases() {
+		if p.Name == "construct" {
+			constructSkew = p.Skew()
 		}
 	}
 	if constructSkew > 2 {

@@ -9,20 +9,9 @@ import (
 	"time"
 )
 
-// hold is how long each grant is held: the service time of one job.
-// Fair shares apply to tenants that stay backlogged, and a tenant whose
-// queue empties re-enters at the current virtual time. With zero
-// service time a tenant's goroutines can all sit runnable between
-// Release and their next Acquire while the other tenant's grants churn
-// on, so its queue empties thousands of times a run and the measured
-// ratio tracks the Go runtime's scheduling instead of the weights. A
-// short hold parks the grant holders, which lets every released worker
-// re-queue before the next dispatch.
-const hold = 50 * time.Microsecond
-
 // saturate runs workers goroutines per tenant, each looping
-// Acquire→hold→count→Release with the given per-request cost, until
-// stop is closed. Completed cost per tenant lands in done.
+// Acquire→count→Release with the given per-request cost, until stop is
+// closed. Completed cost per tenant lands in done.
 func saturate(t *testing.T, s *Scheduler, tenants []string, workers int, cost int64, stop chan struct{}, done map[string]*atomic.Int64) *sync.WaitGroup {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -54,7 +43,6 @@ func saturate(t *testing.T, s *Scheduler, tenants []string, workers int, cost in
 						return
 					default:
 					}
-					time.Sleep(hold)
 					done[tn].Add(cost)
 					g.Release()
 				}

@@ -796,10 +796,6 @@ func (s *Store) List() []Info {
 	return out
 }
 
-// verifyListedHook, when set by a test, runs once VerifyAll has taken
-// its listing snapshot.
-var verifyListedHook func()
-
 // VerifyAll re-hashes every payload against its sidecar, evicting (and
 // returning) the corrupt ones. The listing is a one-time snapshot and
 // hashing runs on a bounded worker pool (mirroring core.MissingParts),
@@ -810,9 +806,6 @@ var verifyListedHook func()
 // error is returned alongside whatever it found.
 func (s *Store) VerifyAll() (checked int, corrupt []Key, err error) {
 	infos := s.List()
-	if verifyListedHook != nil {
-		verifyListedHook()
-	}
 	bad := make([]bool, len(infos))
 	errs := make([]error, len(infos))
 	verify := func(i int) {
