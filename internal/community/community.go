@@ -22,7 +22,6 @@ package community
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -512,30 +511,36 @@ func (l *Layout) newScoper(b Block, acct *memacct.Acct) (core.Scoper, error) {
 	}, acct)
 }
 
-// Runs returns the layout's blocks in part order as core driver runs:
-// local scope u of block b draws from Mix64(b.Seed, u) — fully
-// independent of every other scope and block, which is the whole
-// determinism story — and lands as global scope (SrcLo+u, dsts+DstLo).
+// Runs returns the layout's blocks in part order as core driver runs.
 // With tel set, each finished block feeds the community.* counters.
 func (l *Layout) Runs(tel *telemetry.Registry) []core.Run {
 	runs := make([]core.Run, len(l.blocks))
 	for i, b := range l.blocks {
-		runs[i] = core.Run{
-			Seed: b.Seed, Hi: b.SrcHi - b.SrcLo, SrcOff: b.SrcLo, DstOff: b.DstLo,
-			NewScoper: func(acct *memacct.Acct) (core.Scoper, error) { return l.newScoper(b, acct) },
-		}
-		if tel != nil {
-			kind := MetricInterEdges
-			if b.Intra {
-				kind = MetricIntraEdges
-			}
-			runs[i].Done = func(edges int64) {
-				tel.Counter(MetricBlocksGenerated).Inc()
-				tel.Counter(kind).Add(edges)
-			}
-		}
+		runs[i] = l.run(b, tel)
 	}
 	return runs
+}
+
+// run is block b as a driver run: local scope u draws from
+// Mix64(b.Seed, u) — fully independent of every other scope and block,
+// which is the whole determinism story — and lands as global scope
+// (SrcLo+u, dsts+DstLo).
+func (l *Layout) run(b Block, tel *telemetry.Registry) core.Run {
+	r := core.Run{
+		Seed: b.Seed, Hi: b.SrcHi - b.SrcLo, SrcOff: b.SrcLo, DstOff: b.DstLo,
+		NewScoper: func(acct *memacct.Acct) (core.Scoper, error) { return l.newScoper(b, acct) },
+	}
+	if tel != nil {
+		kind := MetricInterEdges
+		if b.Intra {
+			kind = MetricIntraEdges
+		}
+		r.Done = func(edges int64) {
+			tel.Counter(MetricBlocksGenerated).Inc()
+			tel.Counter(kind).Add(edges)
+		}
+	}
+	return r
 }
 
 // GeneratePart implements core.PartSource: block id through
@@ -546,7 +551,7 @@ func (l *Layout) GeneratePart(id int, r partition.Range, sinks core.SinkFactory,
 		return core.Stats{}, fmt.Errorf("community: part %d outside the %d-block layout", id, len(l.blocks))
 	}
 	b := l.blocks[id]
-	st, err := core.DrivePart(l.Runs(tel)[id], r, sinks, tel)
+	st, err := core.DrivePart(l.run(b, tel), r, sinks, tel)
 	if err != nil {
 		return st, fmt.Errorf("community: block (%d,%d): %w", b.SrcComm, b.DstComm, err)
 	}
@@ -628,18 +633,4 @@ func (l *Layout) GenerateToDir(dir string, format gformat.Format, opt RunOptions
 	st.Ranges = ranges
 	st.PartsFromCache = hits
 	return st, nil
-}
-
-// GenerateStream writes every block in part order through w, inline,
-// and closes it. The bytes are exactly the batch part files
-// concatenated — TSV and ADJ6 encode scope by scope with no global
-// state — which is what lets the HTTP server stream a community job
-// (its Runs, fanned out by the driver) and still share artifacts with
-// the part-file world. onScope, if non-nil, is called per scope.
-func (l *Layout) GenerateStream(w gformat.Writer, tel *telemetry.Registry, onScope func()) (core.Stats, error) {
-	var hook func(int64, int)
-	if onScope != nil {
-		hook = func(int64, int) { onScope() }
-	}
-	return core.Drive(context.Background(), l.Runs(tel), w, core.DriveOptions{Workers: 1, Tel: tel, OnScope: hook})
 }

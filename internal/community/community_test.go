@@ -2,6 +2,7 @@ package community
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"testing"
@@ -123,10 +124,8 @@ func TestStreamEqualsConcatenatedParts(t *testing.T) {
 	var streamed bytes.Buffer
 	w := gformat.NewTSVWriter(&streamed)
 	scopes := 0
-	if _, err := lay.GenerateStream(w, nil, func() { scopes++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	onScope := func(int64, int) { scopes++ }
+	if _, err := core.Drive(context.Background(), lay.Runs(nil), w, core.DriveOptions{Workers: 1, OnScope: onScope}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(concat.Bytes(), streamed.Bytes()) {
@@ -249,10 +248,7 @@ func TestBipartiteIsSingleRectangularBlock(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := gformat.NewTSVWriter(&buf)
-	if _, err := lay.GenerateStream(w, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if _, err := core.Drive(context.Background(), lay.Runs(nil), w, core.DriveOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	r := gformat.NewTSVReader(&buf)

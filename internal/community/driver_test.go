@@ -2,6 +2,7 @@ package community
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -48,7 +49,7 @@ func TestPeakWorkerBytesBatchEqualsStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		stream, err := lay.GenerateStream(gformat.NewADJ6Writer(&buf), nil, nil)
+		stream, err := core.Drive(context.Background(), lay.Runs(nil), gformat.NewADJ6Writer(&buf), core.DriveOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -228,7 +228,6 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 		EdgeFactor:      s.EdgeFactor,
 		NoiseParam:      s.Noise,
 		MasterSeed:      s.MasterSeed,
-		Workers:         workers,
 		Opts:            recvec.Production(),
 		AllowDuplicates: s.AllowDuplicates,
 	}

@@ -45,8 +45,8 @@ func TestJobSpecExplicit(t *testing.T) {
 	if c.format != gformat.ADJ6 || c.lo != 16 || c.hi != 48 {
 		t.Fatalf("format %v range [%d, %d)", c.format, c.lo, c.hi)
 	}
-	if c.cfg.Workers != 2 || c.cfg.NoiseParam != 0.1 || c.cfg.MasterSeed != 7 {
-		t.Fatalf("cfg %+v", c.cfg)
+	if c.workers != 2 || c.cfg.NoiseParam != 0.1 || c.cfg.MasterSeed != 7 {
+		t.Fatalf("workers %d, cfg %+v", c.workers, c.cfg)
 	}
 }
 
@@ -77,15 +77,15 @@ func TestJobSpecWorkerCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.Workers != 4 {
-		t.Fatalf("workers %d, want cap 4", c.cfg.Workers)
+	if c.workers != 4 {
+		t.Fatalf("workers %d, want cap 4", c.workers)
 	}
 	c, err = JobSpec{Scale: 10}.compile(specLimits{maxWorkersPerJob: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.Workers != 4 {
-		t.Fatalf("unset workers %d, want server default 4", c.cfg.Workers)
+	if c.workers != 4 {
+		t.Fatalf("unset workers %d, want server default 4", c.workers)
 	}
 }
 
