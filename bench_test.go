@@ -175,20 +175,25 @@ func BenchmarkFig14_VsGraph500(b *testing.B) {
 }
 
 // BenchmarkGenerate_EdgesPerSec is the headline generator throughput:
-// edges per second of the production path at Scale 18 (ADJ6 discard).
+// edges per second of the production path at Scale 18 (ADJ6 discard),
+// once per destination sampler.
 func BenchmarkGenerate_EdgesPerSec(b *testing.B) {
-	cfg := core.DefaultConfig(18)
-	cfg.Workers = 1
-	b.ResetTimer()
-	var edges int64
-	for i := 0; i < b.N; i++ {
-		st, err := core.Generate(cfg, core.DiscardSinks(gformat.ADJ6))
-		if err != nil {
-			b.Fatal(err)
-		}
-		edges += st.Edges
+	for _, sampler := range []core.Sampler{core.SamplerRecVec, core.SamplerChunk} {
+		b.Run(sampler.String(), func(b *testing.B) {
+			cfg := core.DefaultConfig(18)
+			cfg.Workers = 1
+			cfg.Sampler = sampler
+			var edges int64
+			for i := 0; i < b.N; i++ {
+				st, err := core.Generate(cfg, core.DiscardSinks(gformat.ADJ6))
+				if err != nil {
+					b.Fatal(err)
+				}
+				edges += st.Edges
+			}
+			b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/s")
+		})
 	}
-	b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/s")
 }
 
 // BenchmarkDedupCost quantifies what duplicate elimination costs the

@@ -16,7 +16,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // genFixture writes the scale-10 reference graph (Graph500 seed,
-// master seed 1) as one ADJ6 part and returns its path. The graph is a
+// master seed 1, the paper's RecVec sampler, which the golden files
+// were recorded with) as one ADJ6 part and returns its path. The graph is a
 // pure function of the config, so the bytes — and therefore the stats
 // — are identical on every run and platform.
 func genFixture(t *testing.T) string {
@@ -24,6 +25,7 @@ func genFixture(t *testing.T) string {
 	dir := t.TempDir()
 	cfg := core.DefaultConfig(10)
 	cfg.Workers = 1
+	cfg.Sampler = core.SamplerRecVec
 	if _, err := core.Generate(cfg, core.FileSinks(dir, gformat.ADJ6, cfg.NumVertices())); err != nil {
 		t.Fatal(err)
 	}

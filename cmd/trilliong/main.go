@@ -6,6 +6,7 @@
 //	trilliong -scale 20 -out /data/graph -format adj6
 //	trilliong -scale 24 -noise 0.1 -format csr6 -workers 8 -out out/
 //	trilliong -scale 16 -seed 0.45,0.22,0.22,0.11 -format tsv -out out/
+//	trilliong -scale 18 -noise 0.1 -sampler recvec -out out/    # the paper's RecVec descent
 //	trilliong -scale 22 -out out/ -store /var/cache/trilliong   # reruns hit the cache
 //	trilliong -community spec.json -format tsv -out out/        # community composition
 //
@@ -36,7 +37,8 @@ func main() {
 		workers    = flag.Int("workers", 0, "generation goroutines (0 = GOMAXPROCS)")
 		format     = flag.String("format", "adj6", "output format: tsv, adj6 or csr6")
 		out        = flag.String("out", "", "output directory (required; created if missing)")
-		hiprec     = flag.Bool("highprecision", false, "use 128-bit float recursive vectors")
+		hiprec     = flag.Bool("highprecision", false, "use 128-bit float recursive vectors (selects -sampler recvec)")
+		sampler    = flag.String("sampler", "", "destination sampler: chunk (default) or recvec (the paper's recursive-vector descent)")
 		dryRun     = flag.Bool("dryrun", false, "generate and count without writing files")
 		estimate   = flag.Bool("estimate", false, "print analytic size estimate and exit (no generation)")
 		resume     = flag.Bool("resume", false, "atomic part files; skip parts that already exist")
@@ -69,6 +71,9 @@ func main() {
 	cfg.MasterSeed = *master
 	cfg.Workers = *workers
 	cfg.HighPrecision = *hiprec
+	if cfg.Sampler, err = pickSampler(*sampler, *hiprec); err != nil {
+		fatal(err)
+	}
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
@@ -133,6 +138,19 @@ func main() {
 		fmt.Printf("store            %d objects, %d bytes (hits %d, misses %d, ingests %d)\n",
 			cs.Objects, cs.Bytes, cs.Hits, cs.Misses, cs.Ingests)
 	}
+}
+
+// pickSampler resolves -sampler: an explicit name wins; otherwise
+// -highprecision, a RecVec variant, selects recvec and everything else
+// runs the chunk default.
+func pickSampler(name string, highPrecision bool) (trilliong.Sampler, error) {
+	switch {
+	case name != "":
+		return trilliong.ParseSampler(name)
+	case highPrecision:
+		return trilliong.SamplerRecVec, nil
+	}
+	return trilliong.SamplerChunk, nil
 }
 
 // runCommunity generates a community composition: one part file per

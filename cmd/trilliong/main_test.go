@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	trilliong "repro"
+)
 
 func TestParseSeed(t *testing.T) {
 	s, err := parseSeed("0.57,0.19,0.19,0.05")
@@ -17,5 +21,27 @@ func TestParseSeed(t *testing.T) {
 		if _, err := parseSeed(bad); err == nil {
 			t.Fatalf("parseSeed(%q) accepted", bad)
 		}
+	}
+}
+
+func TestPickSampler(t *testing.T) {
+	cases := []struct {
+		name   string
+		hiprec bool
+		want   trilliong.Sampler
+	}{
+		{"", false, trilliong.SamplerChunk},
+		{"", true, trilliong.SamplerRecVec},
+		{"recvec", false, trilliong.SamplerRecVec},
+		{"chunk", false, trilliong.SamplerChunk},
+		{"chunk", true, trilliong.SamplerChunk}, // Validate rejects the pair
+	}
+	for _, c := range cases {
+		if got, err := pickSampler(c.name, c.hiprec); err != nil || got != c.want {
+			t.Errorf("pickSampler(%q, %v) = %v, %v; want %v", c.name, c.hiprec, got, err, c.want)
+		}
+	}
+	if _, err := pickSampler("descent", false); err == nil {
+		t.Error("unknown sampler accepted")
 	}
 }

@@ -79,6 +79,14 @@ func New(weights []float64) (*Table, error) {
 // Len returns the number of outcomes.
 func (t *Table) Len() int { return len(t.prob) }
 
+// Column returns column i's acceptance threshold and alias outcome:
+// Sample keeps i with probability prob and otherwise returns alias.
+// Callers that pack tables of their own (the AVS chunk sampler) read
+// the compiled columns through it.
+func (t *Table) Column(i int) (prob float64, alias int) {
+	return t.prob[i], int(t.alias[i])
+}
+
 // Sample draws one outcome in O(1): a uniform column, then a biased
 // coin between the column and its alias.
 func (t *Table) Sample(src *rng.Source) int {

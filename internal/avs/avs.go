@@ -31,7 +31,10 @@ type Config struct {
 	// Noise, when non-nil, switches the engine to the NSKG model
 	// (Appendix C); it must have at least Levels levels.
 	Noise *skg.Noise
-	// Opts selects the ablation variant of edge determination;
+	// Sampler selects the destination draw; the zero value is the
+	// paper's RecVec descent.
+	Sampler Sampler
+	// Opts selects the ablation variant of RecVec edge determination;
 	// recvec.Production() is the real system.
 	Opts recvec.Options
 	// HighPrecision switches RecVec arithmetic to math/big.Float
@@ -62,7 +65,7 @@ func (c Config) Validate() error {
 	if c.Noise != nil && c.Noise.Levels() < c.Levels {
 		return fmt.Errorf("avs: noise has %d levels, need %d", c.Noise.Levels(), c.Levels)
 	}
-	return nil
+	return c.Sampler.Validate(c.HighPrecision, c.Opts)
 }
 
 // NumVertices returns |V| = 2^Levels.
@@ -70,14 +73,14 @@ func (c Config) NumVertices() int64 { return int64(1) << uint(c.Levels) }
 
 // Generator generates scopes for one graph configuration. Scope and
 // ScopeWithSize are not safe for concurrent use (they share a scratch
-// vector and dedup table) — give each worker its own instance, as
-// core.Generate does. ScopeSize and the probability accessors are
-// read-only and safe to call concurrently (the partitioner's parallel
-// combine relies on this).
+// vector, the chunk rows and the dedup table) — give each worker its
+// own instance, as core.Generate does. ScopeSize and the probability
+// accessors are read-only and safe to call concurrently (the
+// partitioner's parallel combine relies on this).
 type Generator struct {
 	cfg Config
-	// acct, when non-nil, is charged once per scope for the scope's
-	// recursive vector plus one VertexBytes per distinct destination —
+	// acct, when non-nil, is charged once per scope for the sampler's
+	// scope state plus one VertexBytes per distinct destination —
 	// the high-water mark per-edge charging would reach — and released
 	// when the scope ends, making O(d_max) visible to experiments.
 	acct *memacct.Acct
@@ -90,6 +93,10 @@ type Generator struct {
 	// HighPrecision one, built per scope.
 	vec recvec.Vector
 	big *recvec.BigVector
+	// chunks are the chunk sampler's tables, built at the first scope;
+	// picked is the current scope's row at every chunk position.
+	chunks []chunkLevel
+	picked []pickedChunk
 	// dedup is the reusable in-scope duplicate filter.
 	dedup dedupTable
 }
@@ -157,9 +164,10 @@ type ScopeResult struct {
 }
 
 // Scope generates the full scope of source vertex u: it draws the scope
-// size, builds u's recursive vector once (Idea#1, unless ablated), and
-// determines destinations until the size is reached, discarding
-// duplicates. buf, if non-nil, is reused for the destination slice.
+// size, builds u's recursive vector once (Idea#1, unless ablated) or
+// picks its chunk tables, and determines destinations until the size
+// is reached, discarding duplicates. buf, if non-nil, is reused for the
+// destination slice.
 //
 // The returned destinations are unique. Generation is deterministic
 // given src's state.
@@ -180,8 +188,8 @@ func (g *Generator) DrawScope(u int64, src *rng.Source, buf []int64) ([]int64, i
 // scope sizes ahead of time (Figure 6) and later generate the edges.
 //
 // After warm-up a production scope allocates nothing: the vector is
-// rebuilt in place, the dedup table is reused, and the memory account
-// is charged once for the whole scope.
+// rebuilt in place (or the chunk rows picked), the dedup table is
+// reused, and the memory account is charged once for the whole scope.
 func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []int64) ScopeResult {
 	if nv := g.cfg.NumVertices(); size > nv {
 		size = nv
@@ -192,10 +200,18 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 	}
 
 	var total float64
-	if g.cfg.HighPrecision {
+	// held is the sampler's per-scope state: RecVec's vector (f and
+	// sigma, float64 each) or one (row, shift, drop) per chunk.
+	held := int64((g.cfg.Levels + 1) * 16)
+	switch {
+	case g.cfg.Sampler == SamplerChunk:
+		g.pickChunks(u)
+		total = g.RowProb(u)
+		held = int64(len(g.picked)) * 24
+	case g.cfg.HighPrecision:
 		g.big = recvec.NewBig(g.cfg.Seed, u, g.cfg.Levels, 0)
 		total = g.big.RowProb()
-	} else {
+	default:
 		g.build(u)
 		total = g.vec.RowProb()
 	}
@@ -223,9 +239,8 @@ func (g *Generator) ScopeWithSize(u int64, size int64, src *rng.Source, buf []in
 		}
 	}
 	if g.acct != nil {
-		// One charge for the whole scope: the vector (f and sigma,
-		// float64 each) plus the dedup table's distinct destinations.
-		held := int64((g.cfg.Levels + 1) * 16)
+		// One charge for the whole scope: the sampler state plus the
+		// dedup table's distinct destinations.
 		if !g.cfg.AllowDuplicates {
 			held += memacct.VertexBytes * int64(len(res.Dsts))
 		}
@@ -244,9 +259,12 @@ func (g *Generator) build(u int64) {
 	}
 }
 
-// draw determines one destination of scope u from a fresh uniform value
-// in [0, total).
+// draw determines one destination of scope u: under RecVec from a
+// fresh uniform value in [0, total).
 func (g *Generator) draw(u int64, total float64, src *rng.Source) int64 {
+	if g.picked != nil {
+		return g.drawChunk(src)
+	}
 	x := src.UniformTo(total)
 	if g.production {
 		return g.vec.Determine(x)

@@ -443,17 +443,18 @@ func TestDedupTableEmptyAfterEveryScope(t *testing.T) {
 }
 
 // TestScopeAllocationFree: after warm-up a production scope allocates
-// nothing, for SKG and NSKG.
+// nothing, for SKG and NSKG under either sampler.
 func TestScopeAllocationFree(t *testing.T) {
 	const levels = 12
 	ns, err := skg.NewNoise(skg.Graph500Seed, levels, 0.1, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, noise := range []*skg.Noise{nil, ns} {
+	for i, noise := range []*skg.Noise{nil, ns, nil, ns} {
 		var acct memacct.Acct
 		cfg := baseConfig(levels)
 		cfg.Noise = noise
+		cfg.Sampler = []Sampler{SamplerRecVec, SamplerChunk}[i/2]
 		g, err := New(cfg, &acct)
 		if err != nil {
 			t.Fatal(err)
@@ -466,27 +467,32 @@ func TestScopeAllocationFree(t *testing.T) {
 				buf = g.Scope(u, &src, buf).Dsts
 			}
 		}
-		pass() // warm-up: grow the buffer and the table
+		pass() // warm-up: grow the buffer and the tables
 		if n := testing.AllocsPerRun(3, pass); n != 0 {
-			t.Fatalf("noise=%v: %v allocations per pass", noise != nil, n)
+			t.Fatalf("sampler %v noise=%v: %v allocations per pass", cfg.Sampler, noise != nil, n)
 		}
 	}
 }
 
 // TestScopeAccountingPeak: one charge per scope reaches exactly the
-// high-water mark per-edge charging reached — vector bytes plus one
-// VertexBytes per distinct destination of the largest scope — and
-// leaves nothing charged.
+// high-water mark per-edge charging reached — the sampler's scope state
+// (RecVec's vector, or one picked row per chunk) plus one VertexBytes
+// per distinct destination of the largest scope — and leaves nothing
+// charged.
 func TestScopeAccountingPeak(t *testing.T) {
-	for _, dups := range []bool{false, true} {
+	for i, dups := range []bool{false, true, false, true} {
 		var acct memacct.Acct
 		cfg := baseConfig(11)
 		cfg.AllowDuplicates = dups
+		vecBytes := int64((cfg.Levels + 1) * 16)
+		if i >= 2 {
+			cfg.Sampler = SamplerChunk
+			vecBytes = 2 * 24 // chunks of 6 and 5 bits
+		}
 		g, err := New(cfg, &acct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vecBytes := int64((cfg.Levels + 1) * 16)
 		var maxDeg int64
 		var buf []int64
 		for u := int64(0); u < cfg.NumVertices(); u++ {
@@ -498,7 +504,7 @@ func TestScopeAccountingPeak(t *testing.T) {
 			want = vecBytes
 		}
 		if acct.Peak() != want || acct.Current() != 0 {
-			t.Fatalf("dups=%v: peak %d current %d, want peak %d current 0", dups, acct.Peak(), acct.Current(), want)
+			t.Fatalf("sampler %v dups=%v: peak %d current %d, want peak %d current 0", cfg.Sampler, dups, acct.Peak(), acct.Current(), want)
 		}
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"repro/internal/gformat"
 	"repro/internal/memacct"
 	"repro/internal/partition"
+	"repro/internal/recvec"
 	"repro/internal/rng"
 	"repro/internal/skg"
 	"repro/internal/store"
@@ -356,8 +357,8 @@ func splitBudget(weights []float64, total int64) []int64 {
 // bit-identical output, which is the property the store keys need.
 func fingerprint(c Config, blocks []Block) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "community/v1 master=%d dup=%t seed=%v noise=%v sizes=%v",
-		c.MasterSeed, c.AllowDuplicates, *c.Seed, c.Noise, c.Sizes)
+	fmt.Fprintf(&b, "community/v2 sampler=%v master=%d dup=%t seed=%v noise=%v sizes=%v",
+		blockSampler, c.MasterSeed, c.AllowDuplicates, *c.Seed, c.Noise, c.Sizes)
 	for _, blk := range blocks {
 		fmt.Fprintf(&b, " b%d=(%d,%d)[%d,%d)x[%d,%d)e%d:%016x",
 			blk.ID, blk.SrcComm, blk.DstComm, blk.SrcLo, blk.SrcHi, blk.DstLo, blk.DstHi, blk.Edges, blk.Seed)
@@ -476,11 +477,15 @@ func distForSlope(slope float64) erv.Dist {
 	return erv.Dist{Kind: erv.Gaussian}
 }
 
+// blockSampler draws the destinations of AVS blocks: the production
+// default of core.DefaultConfig.
+const blockSampler = avs.SamplerChunk
+
 // newScoper builds block b's generator charging acct (which may be
-// nil). Power-of-two intra blocks run the real AVS engine (SKG, or NSKG
-// when Noise is set, with the noise stream derived from the block
-// seed); everything else — rectangles and odd-sized squares — runs ERV
-// with the seed's Lemma-6 slopes.
+// nil). Power-of-two intra blocks run the production AVS engine (SKG,
+// or NSKG when Noise is set, with the noise stream derived from the
+// block seed); everything else — rectangles and odd-sized squares —
+// runs ERV with the seed's Lemma-6 slopes.
 func (l *Layout) newScoper(b Block, acct *memacct.Acct) (core.Scoper, error) {
 	rows, cols := b.SrcHi-b.SrcLo, b.DstHi-b.DstLo
 	seed := *l.cfg.Seed
@@ -490,6 +495,8 @@ func (l *Layout) newScoper(b Block, acct *memacct.Acct) (core.Scoper, error) {
 			Seed:            seed,
 			Levels:          levels,
 			NumEdges:        b.Edges,
+			Sampler:         blockSampler,
+			Opts:            recvec.Production(),
 			AllowDuplicates: l.cfg.AllowDuplicates,
 		}
 		if l.cfg.Noise > 0 {

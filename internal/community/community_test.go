@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
+	"repro/internal/avs"
 	"repro/internal/core"
 	"repro/internal/erv"
 	"repro/internal/gformat"
@@ -378,5 +380,37 @@ func TestTelemetryCounters(t *testing.T) {
 	intra, inter := tel.CounterValue(MetricIntraEdges), tel.CounterValue(MetricInterEdges)
 	if intra <= 0 || inter <= 0 || intra+inter != st.Edges {
 		t.Fatalf("intra %d + inter %d != generated %d", intra, inter, st.Edges)
+	}
+}
+
+// TestIntraBlocksRunProductionSampler: power-of-two intra blocks draw
+// with the production default of the flat generator — the chunk
+// sampler with production options — not the zero-value Figure 13
+// all-off ablation, and the layout fingerprint names the sampler so
+// artifacts of the old draw are not served as the new bytes.
+func TestIntraBlocksRunProductionSampler(t *testing.T) {
+	lay := mustLayout(t, testConfig())
+	var avsBlocks int
+	for _, b := range lay.Blocks() {
+		sc, err := lay.newScoper(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, ok := sc.(*avs.Generator)
+		if !ok {
+			continue
+		}
+		avsBlocks++
+		cfg := g.Config()
+		if want := core.DefaultConfig(cfg.Levels); cfg.Sampler != want.Sampler || cfg.Opts != want.Opts || cfg.HighPrecision {
+			t.Errorf("block %d: sampler %v opts %+v highprecision %v, want the production %v %+v",
+				b.ID, cfg.Sampler, cfg.Opts, cfg.HighPrecision, want.Sampler, want.Opts)
+		}
+	}
+	if avsBlocks == 0 {
+		t.Fatal("test layout has no AVS block")
+	}
+	if fp := lay.Fingerprint(); !strings.HasPrefix(fp, "community/v2 sampler=chunk ") {
+		t.Errorf("fingerprint %q does not carry the block sampler", fp)
 	}
 }

@@ -57,7 +57,21 @@ type Config struct {
 	// dedup, the Graph500-edge-list semantics the paper contrasts with
 	// ("a huge number of repeated edges"). Faster; unrealistic.
 	AllowDuplicates bool
+	// Sampler selects the destination draw. The zero value is the
+	// paper's RecVec descent, which Opts and HighPrecision vary;
+	// DefaultConfig selects SamplerChunk, the same distribution drawn
+	// ⌈Scale/6⌉ alias lookups per edge. The two give different bytes.
+	Sampler Sampler
 }
+
+// Sampler selects how scopes draw destinations (see avs.Sampler).
+type Sampler = avs.Sampler
+
+// The destination samplers.
+const (
+	SamplerRecVec = avs.SamplerRecVec
+	SamplerChunk  = avs.SamplerChunk
+)
 
 // Orientation selects the scope axis of Section 3.3.
 type Orientation int
@@ -79,7 +93,8 @@ func (o Orientation) String() string {
 
 // DefaultConfig returns the standard Graph500-style configuration at
 // the given scale: K = [0.57, 0.19; 0.19, 0.05], |E| = 16·|V|, all
-// three performance ideas enabled.
+// three performance ideas enabled, destinations drawn by the chunk
+// sampler.
 func DefaultConfig(scale int) Config {
 	return Config{
 		Scale:      scale,
@@ -87,6 +102,7 @@ func DefaultConfig(scale int) Config {
 		Seed:       skg.Graph500Seed,
 		MasterSeed: 1,
 		Opts:       recvec.Production(),
+		Sampler:    SamplerChunk,
 	}
 }
 
@@ -116,6 +132,9 @@ func (c Config) Validate() error {
 	if c.Orientation != AVSO && c.Orientation != AVSI {
 		return fmt.Errorf("core: unknown orientation %d", int(c.Orientation))
 	}
+	if err := c.Sampler.Validate(c.HighPrecision, c.Opts); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	return nil
 }
 
@@ -137,7 +156,7 @@ type Stats struct {
 	// MaxDegree is the largest generated out-degree.
 	MaxDegree int64
 	// PeakWorkerBytes is the largest tracked working set of any worker
-	// (dedup set + RecVec) — the O(d_max) of Table 1.
+	// (dedup set + the sampler's scope state) — the O(d_max) of Table 1.
 	PeakWorkerBytes int64
 	// BytesWritten sums the writers' outputs.
 	BytesWritten int64
@@ -284,6 +303,7 @@ func NewScopeGenerator(cfg Config, acct *memacct.Acct) (*avs.Generator, error) {
 		Levels:          cfg.Scale,
 		NumEdges:        cfg.NumEdges(),
 		Noise:           noise,
+		Sampler:         cfg.Sampler,
 		Opts:            cfg.Opts,
 		HighPrecision:   cfg.HighPrecision,
 		AllowDuplicates: cfg.AllowDuplicates,

@@ -264,6 +264,7 @@ func TestNoisyGenerationSmooths(t *testing.T) {
 func TestHighPrecisionRuns(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.HighPrecision = true
+	cfg.Sampler = SamplerRecVec
 	cfg.Workers = 1
 	st, err := Generate(cfg, DiscardSinks(gformat.ADJ6))
 	if err != nil {
@@ -293,6 +294,7 @@ func TestGenerateSeq(t *testing.T) {
 func TestAblationZeroOptsStillCorrect(t *testing.T) {
 	cfg := DefaultConfig(10)
 	cfg.Opts = recvec.Options{} // everything off
+	cfg.Sampler = SamplerRecVec
 	cfg.Workers = 2
 	st, err := Generate(cfg, DiscardSinks(gformat.ADJ6))
 	if err != nil {

@@ -28,22 +28,33 @@ type goldenCase struct {
 func goldenCases() []goldenCase {
 	skg := DefaultConfig(14)
 	skg.MasterSeed = 8
+	skg.Sampler = SamplerRecVec
 
 	nskg := DefaultConfig(13)
 	nskg.MasterSeed = 8
+	nskg.Sampler = SamplerRecVec
 	nskg.NoiseParam = 0.1
 
 	avsi := DefaultConfig(12)
 	avsi.MasterSeed = 8
+	avsi.Sampler = SamplerRecVec
 	avsi.Orientation = AVSI
 
 	dups := DefaultConfig(12)
 	dups.MasterSeed = 8
+	dups.Sampler = SamplerRecVec
 	dups.AllowDuplicates = true
 
 	ablation := DefaultConfig(11)
 	ablation.MasterSeed = 8
+	ablation.Sampler = SamplerRecVec
 	ablation.Opts = recvec.Options{}
+
+	// The chunk sampler, DefaultConfig's choice, on the same shapes.
+	chunk := func(cfg Config) Config {
+		cfg.Sampler = SamplerChunk
+		return cfg
+	}
 
 	return []goldenCase{
 		{"skg-s14-adj6", skg, gformat.ADJ6,
@@ -61,12 +72,25 @@ func goldenCases() []goldenCase {
 		{"ablation-s11-adj6", ablation, gformat.ADJ6,
 			"492bc1a012333072af125333d709f3119a42eaf443f4f29dd77363a84658d659",
 			32882, 73917, 1555, 12632},
+		{"chunk-skg-s14-adj6", chunk(skg), gformat.ADJ6,
+			"069774bf1f31a368204baeaf92f9a125d9749adc8e6ae08a6da5474914038596",
+			262535, 337738, 5535, 44352},
+		{"chunk-nskg-s13-tsv", chunk(nskg), gformat.TSV,
+			"5f0c932be761979a70adc0f8b189f87f29584f5d4e1ef5bdb6085d0a2adc8054",
+			131086, 381195, 4868, 39016},
+		{"chunk-avsi-s12-adj6", chunk(avsi), gformat.ADJ6,
+			"a62913d117b6cac3072ff9bebc51f69e5a70cc4d986a6c3a1b7d30194a70dc18",
+			65576, 106882, 2376, 19056},
+		{"chunk-dups-s12-tsv", chunk(dups), gformat.TSV,
+			"60815cd82f86074d1b61860c2e1ea6613eceed0575115643e0129d53de132a81",
+			65576, 65576, 2376, 48},
 	}
 }
 
 // TestGoldenBytes pins core.Generate's output bytes and Stats counters
 // for SKG, NSKG, AVS-I, AllowDuplicates and the Figure 13 all-off
-// ablation. A change to any digest changes the generated graphs and
+// ablation under the RecVec sampler, and for the first four under the
+// chunk sampler. A change to any digest changes the generated graphs and
 // must be deliberate.
 func TestGoldenBytes(t *testing.T) {
 	for _, tc := range goldenCases() {

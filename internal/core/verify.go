@@ -17,8 +17,9 @@ import (
 // leave a truncated file under its final name. The checks are
 // format-shaped:
 //
-//   - TSV: every line parses as "src<TAB>dst" (a torn write ends in a
-//     partial line).
+//   - TSV: every line parses as "src<TAB>dst" and the file ends in a
+//     newline (a torn write ends in a partial line, which may still
+//     parse when the cut falls inside the last number).
 //   - ADJ6: every record's declared adjacency count is satisfied by the
 //     bytes that follow (truncation surfaces as a short record).
 //   - CSR6: header magic, size arithmetic and final offset agree
@@ -34,6 +35,9 @@ func CheckPart(path string, format gformat.Format) error {
 	defer f.Close()
 	switch format {
 	case gformat.TSV:
+		if err := checkFinalNewline(f); err != nil {
+			return fmt.Errorf("core: part %s: %w", path, err)
+		}
 		r := gformat.NewTSVReader(f)
 		for {
 			if _, err := r.Next(); err != nil {
@@ -61,4 +65,21 @@ func CheckPart(path string, format gformat.Format) error {
 	default:
 		return fmt.Errorf("core: unsupported format %v", format)
 	}
+}
+
+// checkFinalNewline reports a non-empty file whose last byte is not the
+// newline every TSV line ends with.
+func checkFinalNewline(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return err
+	}
+	var last [1]byte
+	if _, err := f.ReadAt(last[:], fi.Size()-1); err != nil {
+		return err
+	}
+	if last[0] != '\n' {
+		return errors.New("truncated: last line has no newline")
+	}
+	return nil
 }

@@ -35,6 +35,9 @@ func Fig13(scale int) (*Fig13Result, error) {
 			for _, i3 := range []bool{false, true} {
 				cfg := core.DefaultConfig(scale)
 				cfg.MasterSeed = 601
+				// The ablation varies the RecVec descent, the paper's
+				// sampler, not the chunk default.
+				cfg.Sampler = core.SamplerRecVec
 				cfg.Opts = recvec.Options{
 					ReuseVector:     i1,
 					SparseRecursion: i2,

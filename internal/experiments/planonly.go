@@ -27,6 +27,7 @@ func planOnly(cfg core.Config) ([]*avs.Generator, []partition.Range, error) {
 		Levels:        cfg.Scale,
 		NumEdges:      cfg.NumEdges(),
 		Noise:         noise,
+		Sampler:       cfg.Sampler,
 		Opts:          cfg.Opts,
 		HighPrecision: cfg.HighPrecision,
 	}, nil)

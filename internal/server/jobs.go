@@ -230,6 +230,7 @@ func (s JobSpec) compileClassic(lim specLimits) (compiled, error) {
 		MasterSeed:      s.MasterSeed,
 		Opts:            recvec.Production(),
 		AllowDuplicates: s.AllowDuplicates,
+		Sampler:         core.SamplerChunk,
 	}
 	if cfg.EdgeFactor == 0 {
 		cfg.EdgeFactor = 16

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gformat"
 	"repro/internal/sched"
 )
@@ -22,6 +23,11 @@ func TestJobSpecDefaults(t *testing.T) {
 	}
 	if c.format != gformat.TSV || c.lo != 0 || c.hi != 1024 {
 		t.Fatalf("format %v range [%d, %d)", c.format, c.lo, c.hi)
+	}
+	// A default job is the batch default config, sampler included, so
+	// its stream is the batch CLI's bytes.
+	if want := core.DefaultConfig(10); c.cfg != want {
+		t.Fatalf("default job config %+v, want core.DefaultConfig %+v", c.cfg, want)
 	}
 }
 

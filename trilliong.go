@@ -28,6 +28,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/avs"
 	"repro/internal/core"
 	"repro/internal/gformat"
 	"repro/internal/pressure"
@@ -102,7 +103,24 @@ type Config struct {
 	// stochastic trials (Graph500-edge-list semantics — faster but
 	// unrealistic; the paper's realism claim rests on deduping).
 	AllowDuplicates bool
+	// Sampler selects the destination draw: SamplerChunk (New's
+	// choice, ⌈Scale/6⌉ alias lookups per edge) or SamplerRecVec (the
+	// paper's recursive-vector descent, which Opts and HighPrecision
+	// vary). Same distribution, different bytes.
+	Sampler Sampler
 }
+
+// Sampler selects how destinations are drawn.
+type Sampler = core.Sampler
+
+// Destination samplers.
+const (
+	SamplerRecVec = core.SamplerRecVec
+	SamplerChunk  = core.SamplerChunk
+)
+
+// ParseSampler maps "recvec" or "chunk" to its sampler.
+func ParseSampler(name string) (Sampler, error) { return avs.ParseSampler(name) }
 
 // Orientation selects the scope axis (Section 3.3).
 type Orientation = core.Orientation
@@ -114,7 +132,8 @@ const (
 )
 
 // New returns the standard configuration at the given scale:
-// Graph500 seed, edge factor 16, production options, master seed 1.
+// Graph500 seed, edge factor 16, production options, the chunk
+// sampler, master seed 1.
 func New(scale int) Config {
 	c := core.DefaultConfig(scale)
 	return Config{
@@ -123,6 +142,7 @@ func New(scale int) Config {
 		Seed:       c.Seed,
 		MasterSeed: c.MasterSeed,
 		Opts:       c.Opts,
+		Sampler:    c.Sampler,
 	}
 }
 
@@ -138,6 +158,7 @@ func (c Config) toCore() core.Config {
 		HighPrecision:   c.HighPrecision,
 		Orientation:     c.Orientation,
 		AllowDuplicates: c.AllowDuplicates,
+		Sampler:         c.Sampler,
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/gformat"
 )
 
@@ -24,6 +25,20 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if !cfg.Opts.ReuseVector || !cfg.Opts.SparseRecursion || !cfg.Opts.SingleRandom {
 		t.Fatal("production options not set")
+	}
+	// The facade default is the core default, so facade runs match the
+	// batch, dist, swarm and serve bytes of the same config.
+	if got, want := cfg.toCore(), core.DefaultConfig(12); got != want || cfg.Sampler != SamplerChunk {
+		t.Fatalf("New(12) is %+v, want core.DefaultConfig %+v", got, want)
+	}
+	hp := cfg
+	hp.HighPrecision = true
+	if hp.Validate() == nil {
+		t.Fatal("high precision accepted with the chunk sampler")
+	}
+	hp.Sampler = SamplerRecVec
+	if err := hp.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
